@@ -385,6 +385,8 @@ def cmd_quadrics(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if args.format == "csv":
+        raise ValueError("csv output is not available for selftest")
     buffer = io.StringIO()
     code = run_selftest(buffer)
     text = buffer.getvalue()

@@ -22,16 +22,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations_with_replacement
+from operator import add, mul, sub
 
 from .curves import enumerate_lines, enumerate_rulings, pairs_of_lines_summing_to
-from .lattice import DivisorClass, IntersectionLattice, basis_class, degree, pair
+from .lattice import (
+    DivisorClass,
+    IntersectionLattice,
+    basis_class,
+    degree,
+    gram_vector,
+    pair,
+)
 from .linalg import rational_rank
 from .roots import build_root_system
 from .weights import WeightVector, weight_of
 
-# Guard for the monomial enumeration behind graded_piece_dim.
+# Most monomials graded_piece_dim may list for one class (and for each shift
+# class), and most verify_hilbert may hold in its per-call table.
 MONOMIAL_CAP = 200_000
 
 
@@ -88,10 +95,38 @@ class CoxPresentation:
                     total = total + self.generators[idx].cls
                 if total != rel.cls:
                     raise ValueError("relation is not homogeneous")
-
-    @property
-    def generator_classes(self) -> tuple[DivisorClass, ...]:
-        return tuple(g.cls for g in self.generators)
+        # Monomials are nondecreasing tuples of positions in the search
+        # order: generators sorted by their last nonzero coordinate, so that
+        # each coordinate is settled as early as possible (see _class_monomials).
+        order = sorted(
+            range(len(self.generators)),
+            key=lambda i: max(j for j, c in enumerate(self.generators[i].cls.coords) if c),
+        )
+        position = {i: p for p, i in enumerate(order)}
+        vectors = tuple(self.generators[i].cls.coords for i in order)
+        object.__setattr__(self, "_order", tuple(order))
+        object.__setattr__(self, "_vectors", vectors)
+        object.__setattr__(self, "_steps", _search_steps(vectors, self.lattice.rank))
+        # Pairing with these covectors gives a class's pairing with C and
+        # its anticanonical degree.
+        object.__setattr__(self, "_c_covector", gram_vector(self.lattice, self.lattice.C))
+        object.__setattr__(self, "_degree_covector", gram_vector(self.lattice, -self.lattice.K))
+        # Relations grouped by class as (class, degree, relations), each term
+        # as (integer coefficient, positions); scaling a relation by a
+        # nonzero integer leaves every rank unchanged.
+        groups: dict[tuple[int, ...], list] = {}
+        for rel in self.relations:
+            den = math.lcm(*(Fraction(c).denominator for c, _ in rel.terms))
+            terms = tuple(
+                (int(Fraction(c) * den), tuple(sorted(position[i] for i in mono)))
+                for c, mono in rel.terms
+            )
+            groups.setdefault(rel.cls.coords, []).append(terms)
+        object.__setattr__(
+            self,
+            "_groups",
+            tuple((cls, len(rels[0][0][1]), tuple(rels)) for cls, rels in groups.items()),
+        )
 
 
 def anticanonical_shift(lattice: IntersectionLattice) -> DivisorClass:
@@ -215,26 +250,173 @@ def section_dim(lattice: IntersectionLattice, d: DivisorClass) -> int:
     return chi
 
 
-@lru_cache(maxsize=None)
-def _degree_buckets(
-    presentation: CoxPresentation, deg: int, cap: int
-) -> dict[DivisorClass, tuple[tuple[int, ...], ...]]:
-    """All degree-``deg`` monomials in the generators, grouped by class."""
-    classes = presentation.generator_classes
-    n = len(classes)
-    count = math.comb(n + deg - 1, deg) if deg > 0 else 1
-    if count > cap:
+def _search_steps(vectors, rank: int):
+    """Per search position, what decides the exponent of its generator.
+
+    Returns the coordinates no generator touches, and per position ``p`` a
+    triple ``(closes, bounds, support)``.  ``closes`` lists ``(j, g)`` for
+    the coordinates that generator ``p`` is the last to touch (``g`` its
+    entry there): the exponent must make them exact.  ``bounds`` lists
+    ``(j, lo - g, hi - g, lo, hi)`` for the other coordinates that ``p`` or
+    a later generator touches, with ``lo``/``hi`` the least and greatest
+    entry among the later generators.  Every generator has degree 1, so
+    ``r`` later factors add between ``r*lo`` and ``r*hi`` to coordinate j.
+    ``support`` lists ``(j, g)`` for every nonzero entry of generator ``p``.
+    """
+    steps = []
+    for p, vec in enumerate(vectors):
+        later = vectors[p + 1 :]
+        closes = []
+        bounds = []
+        for j in range(rank):
+            tail = [v[j] for v in later]
+            if any(tail):
+                lo, hi = min(tail), max(tail)
+                bounds.append((j, lo - vec[j], hi - vec[j], lo, hi))
+            elif vec[j]:
+                closes.append((j, vec[j]))
+        support = tuple((j, g) for j, g in enumerate(vec) if g)
+        steps.append((tuple(closes), tuple(bounds), support))
+    free = tuple(j for j in range(rank) if not any(v[j] for v in vectors))
+    return free, tuple(steps)
+
+
+def _class_monomials(
+    presentation: CoxPresentation, target: tuple[int, ...], deg: int, cap: int
+) -> list[tuple[int, ...]]:
+    """Position tuples of the degree-``deg`` monomials of class ``target``.
+
+    A depth-first search over the generators in search order that picks one
+    exponent per generator.  With ``r`` factors left and ``rem`` the class
+    still to cover, a generator that closes a coordinate has its exponent
+    forced by it; the last generator closes all of its coordinates and must
+    take all ``r``.  Otherwise an exponent ``e`` is kept only if every open
+    coordinate stays reachable, ``(r - e)*lo <= rem_j - e*g <= (r - e)*hi``;
+    each inequality is linear in ``e``, so the candidates form one
+    interval.  The search goes on in place with the smallest candidate and
+    stacks the others.
+    """
+    free, steps = presentation._steps
+    if deg < 0 or any(target[j] for j in free):
+        return []
+    last = len(steps) - 1
+    if last < 0:
+        return [()] if deg == 0 else []
+    out: list[tuple[int, ...]] = []
+    stack = [(0, deg, list(target), ())]
+    while stack:
+        p, r, rem, mono = stack.pop()
+        while True:
+            closes, bounds, support = steps[p]
+            if closes:
+                j, g = closes[0]
+                e, m = divmod(rem[j], g)
+                if m or e < 0 or e > r:
+                    break
+                if len(closes) > 1 and any(rem[j] != e * g for j, g in closes):
+                    break
+                if p == last:
+                    if e == r:
+                        out.append(mono + (p,) * r)
+                        if len(out) > cap:
+                            raise ValueError(
+                                f"class {target} has more than {cap} monomials, "
+                                f"which exceeds the cap {cap}"
+                            )
+                    break
+            else:
+                e, hi_e = 0, r
+                for j, a1, a2, lo, hi in bounds:
+                    rj = rem[j]
+                    # e*(lo - g) >= r*lo - rem_j  and  e*(hi - g) <= r*hi - rem_j
+                    b = r * lo - rj
+                    if a1 > 0:
+                        e = max(e, -(-b // a1))
+                    elif a1 < 0:
+                        hi_e = min(hi_e, b // a1)
+                    elif b > 0:
+                        hi_e = -1
+                    b = r * hi - rj
+                    if a2 > 0:
+                        hi_e = min(hi_e, b // a2)
+                    elif a2 < 0:
+                        e = max(e, -(-b // a2))
+                    elif b < 0:
+                        hi_e = -1
+                    if e > hi_e:
+                        break
+                if e > hi_e:
+                    break
+                for k in range(e + 1, hi_e + 1):
+                    child = rem.copy()
+                    for j, g in support:
+                        child[j] -= k * g
+                    stack.append((p + 1, r - k, child, mono + (p,) * k))
+            if e:
+                for j, g in support:
+                    rem[j] -= e * g
+                r -= e
+                mono += (p,) * e
+            p += 1
+    return out
+
+
+def _monomial_table(
+    presentation: CoxPresentation, max_degree: int
+) -> list[dict[tuple[int, ...], list[tuple[int, ...]]]]:
+    """Every monomial of degree at most ``max_degree``, by degree and class.
+
+    Entry k maps each class of degree k to its monomials.  Built degree by
+    degree: a degree-k monomial is extended by each generator at or after
+    its last position, so every monomial is listed once and costs one
+    tuple add for its class.  ``MONOMIAL_CAP`` bounds the whole table.
+    """
+    vectors = presentation._vectors
+    count = len(vectors)
+    if max_degree < 0:
+        return []
+    size = math.comb(count + max_degree, max_degree)
+    if size > MONOMIAL_CAP:
         raise ValueError(
-            f"monomial enumeration of size {count} exceeds the cap {cap}"
+            f"monomial table of size {size} up to degree {max_degree} "
+            f"exceeds the cap {MONOMIAL_CAP}"
         )
-    buckets: dict[DivisorClass, list[tuple[int, ...]]] = {}
-    zero = presentation.lattice.zero()
-    for mono in combinations_with_replacement(range(n), deg):
-        total = zero
-        for i in mono:
-            total = total + classes[i]
-        buckets.setdefault(total, []).append(mono)
-    return {cls: tuple(mons) for cls, mons in buckets.items()}
+    levels = [{(0,) * presentation.lattice.rank: [()]}]
+    for _ in range(max_degree):
+        level: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for cls, monos in levels[-1].items():
+            for mono in monos:
+                for p in range(mono[-1] if mono else 0, count):
+                    key = tuple(map(add, cls, vectors[p]))
+                    bucket = level.get(key)
+                    if bucket is None:
+                        level[key] = [mono + (p,)]
+                    else:
+                        bucket.append(mono + (p,))
+        levels.append(level)
+    return levels
+
+
+def _piece_dim(presentation: CoxPresentation, monomials, shift_lists) -> int:
+    """Monomial count minus the rank of the relation * shift rows.
+
+    ``shift_lists[k]`` holds the monomials of class ``d - cls`` for the k-th
+    relation group; every relation of the group times every shift is one
+    row over the columns ``monomials``.
+    """
+    index = {mono: j for j, mono in enumerate(monomials)}
+    rows = []
+    for (_, _, rels), shifts in zip(presentation._groups, shift_lists):
+        for shift in shifts:
+            for terms in rels:
+                row: dict[int, int] = {}
+                for coeff, mono in terms:
+                    col = index[tuple(sorted(mono + shift))]
+                    row[col] = row.get(col, 0) + coeff
+                rows.append(row)
+    if not rows:
+        return len(monomials)
+    return len(monomials) - rational_rank(rows)
 
 
 def graded_piece_dim(
@@ -247,32 +429,25 @@ def graded_piece_dim(
 
     Counts the monomials of class ``d`` and subtracts the exact rank of the
     matrix whose rows are all products relation * monomial landing in that
-    class.
+    class.  Only monomials of class ``d`` and of the shift classes
+    ``d - rel.cls`` are listed; ``cap`` bounds each of those lists.
     """
-    if pair(lattice, d, lattice.C) != 0:
+    if lattice != presentation.lattice:
+        raise ValueError("lattice does not match the presentation")
+    coords = d.coords
+    if len(coords) != lattice.rank:
+        raise ValueError("coordinate length does not match the lattice rank")
+    if sum(map(mul, coords, presentation._c_covector)):
         raise ValueError("class must be orthogonal to C")
-    deg = degree(lattice, d)
-    if deg < 0:
-        return 0
-    monomials = _degree_buckets(presentation, deg, cap).get(d, ())
+    deg = sum(map(mul, coords, presentation._degree_covector))
+    monomials = _class_monomials(presentation, coords, deg, cap)
     if not monomials:
         return 0
-    index = {mono: j for j, mono in enumerate(monomials)}
-    rows = []
-    for rel in presentation.relations:
-        shift_deg = deg - degree(lattice, rel.cls)
-        if shift_deg < 0:
-            continue
-        shifts = _degree_buckets(presentation, shift_deg, cap).get(d - rel.cls, ())
-        for shift in shifts:
-            row = [Fraction(0)] * len(monomials)
-            for coeff, mono in rel.terms:
-                merged = tuple(sorted(mono + shift))
-                row[index[merged]] += coeff
-            rows.append(tuple(row))
-    if not rows:
-        return len(monomials)
-    return len(monomials) - rational_rank(tuple(rows))
+    shift_lists = [
+        _class_monomials(presentation, tuple(map(sub, coords, cls)), deg - rdeg, cap)
+        for cls, rdeg, _ in presentation._groups
+    ]
+    return _piece_dim(presentation, monomials, shift_lists)
 
 
 def verify_hilbert(
@@ -282,25 +457,31 @@ def verify_hilbert(
 
     Every class expressible as a sum of generator classes with anticanonical
     degree at most ``max_degree`` is checked; the report carries each class
-    with both numbers and the list of mismatches (empty on success).
+    with both numbers and the list of mismatches (empty on success).  All
+    monomials come from one table per call, which ``MONOMIAL_CAP`` bounds.
     """
-    seen: set[DivisorClass] = set()
-    for deg in range(max_degree + 1):
-        seen.update(_degree_buckets(presentation, deg, MONOMIAL_CAP).keys())
+    if lattice != presentation.lattice:
+        raise ValueError("lattice does not match the presentation")
+    levels = _monomial_table(presentation, max_degree)
     checked = []
     mismatches = []
-    for cls in sorted(seen, key=lambda c: (degree(lattice, c), c.coords)):
-        g = graded_piece_dim(presentation, lattice, cls)
-        s = section_dim(lattice, cls)
-        entry = {
-            "class": list(cls.coords),
-            "degree": degree(lattice, cls),
-            "graded": g,
-            "section": s,
-        }
-        checked.append(entry)
-        if g != s:
-            mismatches.append(entry)
+    for deg, level in enumerate(levels):
+        for coords in sorted(level):
+            shift_lists = [
+                levels[deg - rdeg].get(tuple(map(sub, coords, cls)), ()) if deg >= rdeg else ()
+                for cls, rdeg, _ in presentation._groups
+            ]
+            g = _piece_dim(presentation, level[coords], shift_lists)
+            s = section_dim(lattice, DivisorClass(coords))
+            entry = {
+                "class": list(coords),
+                "degree": deg,
+                "graded": g,
+                "section": s,
+            }
+            checked.append(entry)
+            if g != s:
+                mismatches.append(entry)
     return {
         "family": lattice.family.label,
         "max_degree": max_degree,

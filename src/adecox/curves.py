@@ -47,25 +47,53 @@ class ClassSet:
         return frozenset(self.classes)
 
 
+def _two_square_pairs(s: int, q: int) -> list[tuple[int, int]]:
+    """The pairs (b, s - b) with b^2 + (s - b)^2 = q, in increasing b."""
+    disc = 2 * q - s * s  # (2b - s)^2 = 2q - s^2
+    if disc < 0:
+        return []
+    d = isqrt(disc)
+    if d * d != disc or (s - d) % 2:
+        return []
+    b = (s - d) // 2
+    return [(b, s - b), (b + d, s - b - d)] if d else [(b, s - b)]
+
+
 def _sum_square_tuples(m: int, s: int, q: int):
-    """All integer m-tuples with sum s and sum of squares q, pruned exactly."""
-    if m == 0:
-        if s == 0 and q == 0:
-            yield ()
+    """All integer m-tuples with sum s and sum of squares q, pruned exactly.
+
+    Depth first in lexicographic order, with an explicit stack of candidate
+    iterators (one per open coordinate) and one shared prefix list, so the
+    depth is not bounded by the recursion limit.  The last two coordinates
+    are solved in closed form.
+    """
+    if m <= 2 or q < 0:
+        if m == 2:
+            yield from _two_square_pairs(s, q)
+        elif (m == 0 and s == 0 and q == 0) or (m == 1 and s * s == q):
+            yield (s,) * m
         return
-    if q < 0:
-        return
-    if m == 1:
-        if s * s == q:
-            yield (s,)
-        return
+    prefix = [0] * (m - 2)
     top = isqrt(q)
-    for b in range(-top, top + 1):
-        rest_q = q - b * b
-        rest_s = s - b
-        if rest_s * rest_s <= (m - 1) * rest_q:
-            for tail in _sum_square_tuples(m - 1, rest_s, rest_q):
-                yield (b,) + tail
+    stack = [(iter(range(-top, top + 1)), s, q)]
+    while stack:
+        i = len(stack) - 1
+        candidates, rest_s, rest_q = stack[i]
+        after = m - 1 - i  # coordinates still open after coordinate i
+        for b in candidates:
+            tail_s, tail_q = rest_s - b, rest_q - b * b
+            if tail_s * tail_s <= after * tail_q:
+                break
+        else:
+            stack.pop()
+            continue
+        prefix[i] = b
+        if after == 2:
+            for tail in _two_square_pairs(tail_s, tail_q):
+                yield tuple(prefix) + tail
+        else:
+            top = isqrt(tail_q)
+            stack.append((iter(range(-top, top + 1)), tail_s, tail_q))
 
 
 def _leading_range(a2: int, a1: int, a0: int):
@@ -104,7 +132,8 @@ def _enumerate(lattice: IntersectionLattice, self_int: int, k_int: int):
             for b in _sum_square_tuples(n, s, q):
                 found.append(DivisorClass((a, 0) + b))
     classes = tuple(sorted(found))
-    assert len(set(classes)) == len(classes)
+    if len(set(classes)) != len(classes):
+        raise AssertionError(f"{lattice.family.label} enumeration repeats a class")
     return classes
 
 
@@ -138,5 +167,6 @@ def pairs_of_lines_summing_to(
     halves = sum(
         1 for l in line_set if (target - l) in line_set and (target - l) != l
     )
-    assert halves % 2 == 0
+    if halves % 2:
+        raise AssertionError("line pairs summing to the target are not symmetric")
     return halves // 2 + doubles

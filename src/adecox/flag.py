@@ -93,12 +93,13 @@ def cone_quadric_D(lattice: IntersectionLattice) -> QuadricSystem:
         terms.append((Fraction(1), (f"X{i}", f"Y{i}")))
     quadric = Quadric(tuple(terms))
     zero = (0,) * system.rank
+    lookup = {v.name: v.weight for v in variables}
     for _, mono in quadric.terms:
-        lookup = {v.name: v.weight for v in variables}
         total = tuple(
             a + b for a, b in zip(lookup[mono[0]], lookup[mono[1]])
         )
-        assert total == zero
+        if total != zero:
+            raise AssertionError(f"cone quadric term {mono} has nonzero weight {total}")
     return QuadricSystem(tuple(variables), (quadric,))
 
 

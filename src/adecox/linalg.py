@@ -1,40 +1,71 @@
 """Exact linear algebra over the rationals.
 
-Everything in this package runs on small dense matrices (rank at most a
-few dozen), so plain Gaussian elimination over ``fractions.Fraction`` is
-both fast enough and exactly correct.  No floating point anywhere.
+``rational_rank`` is the package's one rank kernel.  Its matrices are sparse
+and tall (a relation times a monomial has at most a few nonzero entries), so
+it eliminates fraction-free over the integers on ``{column: value}`` rows,
+each scaled to integers and divided by the gcd of its entries.  The square
+helpers below (inverse, determinant, signature) act on small dense
+matrices.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+
+def _integer_row(row) -> dict[int, int]:
+    """Nonzero entries of one row, scaled to coprime integers."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    out = {}
+    den = 0  # 0 while every entry is an int
+    for col, x in items:
+        if type(x) is not int:
+            x = Fraction(x)
+            den = lcm(den or 1, x.denominator)
+        if x:
+            out[col] = x
+    if den:
+        out = {col: int(x * den) for col, x in out.items()}
+    g = gcd(*out.values())
+    if g > 1:
+        out = {col: x // g for col, x in out.items()}
+    return out
 
 
 def rational_rank(rows) -> int:
-    """Rank of a matrix given as an iterable of coefficient rows."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat or not mat[0]:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    col = 0
-    while rank < len(mat) and col < ncols:
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        pval = prow[col]
-        for r in range(rank + 1, len(mat)):
-            f = mat[r][col] / pval
-            if f:
-                row = mat[r]
-                for c in range(col, ncols):
-                    row[c] -= f * prow[c]
-        rank += 1
-        col += 1
-    return rank
+    """Rank of a matrix given as an iterable of rows.
+
+    A row is a dense sequence or a ``{column: value}`` dict; entries are
+    integers, ``Fraction`` values or anything ``Fraction`` accepts.  Each
+    stored pivot row is keyed by its smallest column.  An incoming row is
+    reduced against the pivot at its smallest column, ``a*row - b*pivot``
+    with ``a/b`` the ratio of the two leading entries in lowest terms,
+    until that column has no pivot (the row joins the basis) or the row
+    vanishes (it was dependent).
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        vec = _integer_row(row)
+        while vec:
+            col = min(vec)
+            piv = pivots.get(col)
+            if piv is None:
+                pivots[col] = vec
+                break
+            a, b = piv[col], vec[col]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            new = {c: a * x for c, x in vec.items()} if a != 1 else dict(vec)
+            for c, x in piv.items():
+                y = new.get(c, 0) - b * x
+                if y:
+                    new[c] = y
+                else:
+                    new.pop(c, None)
+            g = gcd(*new.values())
+            vec = {c: x // g for c, x in new.items()} if g > 1 else new
+    return len(pivots)
 
 
 def invert(matrix) -> list[list[Fraction]]:

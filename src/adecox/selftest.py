@@ -204,7 +204,7 @@ def _check_dn_cox() -> tuple[bool, str]:
                 f"(D,{n}) hilbert mismatches: {len(report['mismatches'])}"
             )
         f = basis_class(lat, "f")
-        for a0 in range(4):  # degree of a0*f is 2*a0, staying within the cap above
+        for a0 in range(4):  # a0*f has degree 2*a0 and a0 + 1 sections
             got = graded_piece_dim(pres, lat, f * a0)
             if got != a0 + 1:
                 problems.append(f"(D,{n}) dim at {a0}f is {got} != {a0 + 1}")

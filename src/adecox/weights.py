@@ -344,7 +344,8 @@ def sym2_multiset(ms: WeightMultiset) -> WeightMultiset:
             out[tau] = out.get(tau, 0) + bump
     result = WeightMultiset.from_dict(out)
     t = ms.total
-    assert result.total == t * (t + 1) // 2
+    if result.total != t * (t + 1) // 2:
+        raise AssertionError(f"sym2 total {result.total} != {t * (t + 1) // 2}")
     return result
 
 

@@ -211,6 +211,20 @@ def test_selftest_passes_and_writes_out(capsys, tmp_path):
     assert target.read_text(encoding="utf-8") == out
 
 
+def test_selftest_rejects_csv_with_exit_2(capsys):
+    code, out, err = run_cli(capsys, ["selftest", "--format", "csv"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_selftest_passes_with_asserts_stripped():
+    argv = [sys.executable, "-O", "-m", "adecox", "selftest"]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "selftest: 9/9 checks passed" in done.stdout
+
+
 def test_selftest_reports_failures_with_exit_1(capsys, monkeypatch):
     def broken():
         return False, "injected failure"

@@ -1,6 +1,11 @@
 """Total coordinate ring generators, relations, graded dimensions, characters."""
 
+import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -22,6 +27,8 @@ from adecox import (
     torus_character,
     verify_hilbert,
 )
+from adecox.cox import MONOMIAL_CAP, _class_monomials, _monomial_table
+from adecox.linalg import rational_rank
 
 
 def _lat(kind, n):
@@ -199,6 +206,30 @@ def test_graded_piece_dim_respects_cap():
         graded_piece_dim(pres, d3, f, cap=1)
 
 
+def test_graded_piece_dim_past_the_old_enumeration_cap():
+    # Degree 12 in 10 variables and degree 8 in 14 variables: 293,930 and
+    # 203,490 monomials in all, of which only 210 have the class k*f.
+    for n, k in ((5, 6), (7, 4)):
+        lat = _lat("D", n)
+        pres = cox_presentation(lat, _seeded_points(n, seed=n))
+        f = basis_class(lat, "f")
+        assert len(_class_monomials(pres, (f * k).coords, 2 * k, MONOMIAL_CAP)) == 210
+        assert graded_piece_dim(pres, lat, f * k) == k + 1
+
+
+def test_verify_hilbert_refuses_a_table_past_the_cap_quickly():
+    points = ",".join(str(i) for i in range(7))
+    argv = [sys.executable, "-m", "adecox", "verify", "--which", "hilbert", "--family", "D",
+            "--n", "7", "--points", points, "--max-degree", "9"]
+    start = time.perf_counter()
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ")
+    assert "exceeds the cap" in done.stderr
+    assert elapsed < 10
+
+
 def test_verify_hilbert_d3():
     lat = _lat("D", 3)
     report = verify_hilbert(cox_presentation(lat, _points(3)), lat, 6)
@@ -301,3 +332,89 @@ def test_git_hilbert_errors():
         git_hilbert(d4, basis_class(d4, "l1"), 3)
     with pytest.raises(ValueError):
         git_hilbert(d4, basis_class(d4, "f"), -1)
+
+
+# ------------------------------------------------------------------
+# Differential oracle: the monomial bucketing that graded_piece_dim used
+# before class-targeted enumeration.  It lists every monomial of a degree
+# and groups them by class, so it is only run on small cases.
+
+
+def _seeded_points(n, seed):
+    rng = random.Random(seed)
+    points = set()
+    while len(points) < n:
+        q = rng.randint(1, 7)
+        points.add(Fraction(rng.randint(-5 * q, 5 * q), q))
+    return SurfaceConfigD(tuple(sorted(points)))
+
+
+def _old_degree_buckets(presentation, deg):
+    """All degree-``deg`` monomials as generator-index tuples, by class."""
+    classes = [g.cls for g in presentation.generators]
+    buckets = {}
+    zero = presentation.lattice.zero()
+    for mono in combinations_with_replacement(range(len(classes)), deg):
+        total = zero
+        for i in mono:
+            total = total + classes[i]
+        buckets.setdefault(total, []).append(mono)
+    return buckets
+
+
+def _old_graded_dim(presentation, lattice, d, buckets):
+    """Monomial count minus the rank of dense relation * monomial rows."""
+    deg = degree(lattice, d)
+    monomials = buckets[deg].get(d, [])
+    if not monomials:
+        return 0
+    index = {mono: j for j, mono in enumerate(monomials)}
+    rows = []
+    for rel in presentation.relations:
+        shift_deg = deg - degree(lattice, rel.cls)
+        if shift_deg < 0:
+            continue
+        for shift in buckets[shift_deg].get(d - rel.cls, []):
+            row = [Fraction(0)] * len(monomials)
+            for coeff, mono in rel.terms:
+                row[index[tuple(sorted(mono + shift))]] += coeff
+            rows.append(row)
+    return len(monomials) - rational_rank(rows)
+
+
+def _as_generator_indices(presentation, monomials):
+    """Search-position tuples as sorted generator-index tuples."""
+    order = presentation._order
+    return {tuple(sorted(order[p] for p in mono)) for mono in monomials}
+
+
+ORACLE_CASES = [("D", n) for n in range(2, 6)] + [("A", n) for n in range(1, 5)]
+
+
+@pytest.mark.parametrize("kind,n", ORACLE_CASES)
+def test_new_monomial_sources_match_the_old_bucketing(kind, n):
+    max_degree = 5
+    lat = _lat(kind, n)
+    pres = cox_presentation(lat, _seeded_points(n, seed=10 * n) if kind == "D" else None)
+    buckets = [_old_degree_buckets(pres, deg) for deg in range(max_degree + 1)]
+    levels = _monomial_table(pres, max_degree)
+    report = verify_hilbert(pres, lat, max_degree)
+    from_table = {tuple(e["class"]): e["graded"] for e in report["classes"]}
+    assert len(from_table) == sum(len(b) for b in buckets)
+    for deg, bucket in enumerate(buckets):
+        assert set(levels[deg]) == {cls.coords for cls in bucket}
+        for cls, monos in bucket.items():
+            want = set(monos)
+            assert _as_generator_indices(pres, levels[deg][cls.coords]) == want
+            searched = _class_monomials(pres, cls.coords, deg, MONOMIAL_CAP)
+            assert len(searched) == len(want)
+            assert _as_generator_indices(pres, searched) == want
+            dim = _old_graded_dim(pres, lat, cls, buckets)
+            assert graded_piece_dim(pres, lat, cls) == dim
+            assert from_table[cls.coords] == dim
+    # Classes with no monomials of their degree: nudged in an l coordinate.
+    nudge = basis_class(lat, "l1") - basis_class(lat, "l2")
+    for deg in range(max_degree + 1):
+        for cls in buckets[deg]:
+            moved = cls + nudge * (deg + 1)
+            assert _class_monomials(pres, moved.coords, deg, MONOMIAL_CAP) == []

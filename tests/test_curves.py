@@ -1,5 +1,10 @@
 """Enumeration of roots, lines and rulings by exact lattice search."""
 
+import subprocess
+import sys
+from itertools import product
+from math import isqrt
+
 import pytest
 
 from adecox import (
@@ -13,6 +18,7 @@ from adecox import (
     pair,
     pairs_of_lines_summing_to,
 )
+from adecox.curves import _sum_square_tuples
 
 LINE_COUNTS_E = {3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 RULING_COUNTS_E = {3: 3, 4: 5, 5: 10, 6: 27, 7: 126, 8: 2160}
@@ -115,3 +121,28 @@ def test_pairs_count_zero_when_no_decomposition():
     assert pairs_of_lines_summing_to(lat, target, lines) == 1
     missing = DivisorClass((1, 0, 0, 0))
     assert pairs_of_lines_summing_to(lat, missing, lines) == 0
+
+
+def test_sum_square_tuples_match_brute_force():
+    for m in range(5):
+        for s in range(-3, 4):
+            for q in range(-1, 8):
+                top = isqrt(max(q, 0))
+                want = [
+                    b for b in product(range(-top, top + 1), repeat=m)
+                    if sum(b) == s and sum(x * x for x in b) == q
+                ]
+                assert list(_sum_square_tuples(m, s, q)) == want, (m, s, q)
+
+
+def test_enumeration_depth_is_not_bounded_by_the_recursion_limit():
+    # 400 coordinates per tuple, under a recursion limit of 150 frames.
+    code = (
+        "import sys; sys.setrecursionlimit(150)\n"
+        "from adecox import SurfaceFamily, build_lattice, enumerate_lines\n"
+        "print(len(enumerate_lines(build_lattice(SurfaceFamily('A', 400)))),"
+        " len(enumerate_lines(build_lattice(SurfaceFamily('D', 400)))))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["401", "800"]

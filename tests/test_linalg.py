@@ -3,8 +3,55 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adecox.linalg import det, invert, rational_rank, symmetric_signature
+
+
+def _reference_rank(rows) -> int:
+    """Dense Gaussian elimination over Fraction, the textbook way."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for r in range(rank + 1, len(mat)):
+            f = mat[r][col] / mat[rank][col]
+            mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+_entries = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=9),
+    st.just(0),
+)
+
+
+@st.composite
+def _matrices(draw):
+    """Rows with rational entries, plus zero rows and repeated rows."""
+    ncols = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(_entries, min_size=ncols, max_size=ncols), max_size=8))
+    rows += [[0] * ncols] * draw(st.integers(0, 2))
+    if rows:
+        rows += [list(rows[i]) for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
+    return draw(st.permutations(rows)) if rows else rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices())
+def test_rank_matches_dense_reference_on_dense_and_dict_rows(rows):
+    want = _reference_rank(rows)
+    assert rational_rank(rows) == want
+    assert rational_rank([tuple(row) for row in rows]) == want
+    sparse = [{col: x for col, x in enumerate(row) if x} for row in rows]
+    assert rational_rank(sparse) == want
+    assert rational_rank(iter(sparse)) == want
 
 
 def test_rank_of_identity_like_rows():
