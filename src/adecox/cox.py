@@ -227,7 +227,10 @@ def section_dim(lattice: IntersectionLattice, d: DivisorClass) -> int:
     (lines, rulings, ``-K + C`` for n in {7, 8}, ``-2K + 2C`` for n = 8),
     where the dimension equals ``1 + (D^2 - D.K) / 2``.
     """
-    if pair(lattice, d, lattice.C) != 0:
+    x = d.coords
+    if len(x) != lattice.rank:
+        raise ValueError("coordinate length does not match the lattice rank")
+    if sum(x[k] * v for k, v in lattice.c_covector):
         raise ValueError("class must be orthogonal to C")
     fam = lattice.family
     if fam.kind == "A":

@@ -19,7 +19,7 @@ degenerate small-rank cases; they are supported but flagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 E_RANGE = range(3, 9)
@@ -88,6 +88,12 @@ class IntersectionLattice:
     gram: tuple[tuple[int, ...], ...]
     K: DivisorClass
     C: DivisorClass
+    # Sparse covector ``gram . C`` as ``(coordinate, entry)`` pairs, so that
+    # pairing a class with ``C`` is a dot product.
+    c_covector: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "c_covector", sparse_entries(gram_vector(self, self.C)))
 
     @property
     def rank(self) -> int:
@@ -162,3 +168,8 @@ def gram_vector(lattice: IntersectionLattice, d: DivisorClass) -> tuple[int, ...
         sum(lattice.gram[i][j] * d.coords[j] for j in range(lattice.rank))
         for i in range(lattice.rank)
     )
+
+
+def sparse_entries(vector) -> tuple[tuple[int, int], ...]:
+    """The nonzero entries of a vector as ``(index, value)`` pairs."""
+    return tuple((i, v) for i, v in enumerate(vector) if v)

@@ -21,7 +21,7 @@ out under their isomorphic names: (E,3) -> A2xA1, (E,4) -> A4, (E,5) -> D5,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .curves import ClassSet
@@ -31,6 +31,7 @@ from .lattice import (
     basis_class,
     gram_vector,
     pair,
+    sparse_entries,
 )
 
 
@@ -41,6 +42,13 @@ class RootSystemData:
     cartan: tuple[tuple[int, ...], ...]
     positive_roots: tuple[DivisorClass, ...]
     type_label: str
+    # Coefficients of each positive root over the simple roots, aligned with
+    # ``positive_roots``.
+    root_coeffs: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    # Sparse covector ``gram . alpha_i`` of each simple root, as
+    # ``(coordinate, entry)`` pairs: pairing a class with ``alpha_i`` is a
+    # dot product with it.
+    simple_covectors: tuple[tuple[tuple[int, int], ...], ...] = field(compare=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -117,35 +125,41 @@ def _classify_cartan(cartan: tuple[tuple[int, ...], ...]) -> str:
     return "x".join(labels)
 
 
-def _positive_root_coeffs(cartan: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Positive roots as coefficient vectors over the simple roots.
+def _positive_root_coeffs(
+    cartan: tuple[tuple[int, ...], ...],
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Positive roots as ``(coefficients, labels)`` pairs, sorted.
 
-    Closure from the simple roots: with all roots of norm 2 the sum
-    ``r + alpha_j`` is again a root exactly when the Cartan pairing
-    ``(r, alpha_j)`` equals -1, and every positive root is reachable by
-    adding one simple root at a time.
+    ``coefficients`` writes the root over the simple roots and ``labels`` is
+    its Cartan pairing ``(r, alpha_j)_j``.  Closure from the simple roots:
+    with all roots of norm 2 the sum ``r + alpha_j`` is again a root exactly
+    when ``(r, alpha_j)`` equals -1, and every positive root is reachable by
+    adding one simple root at a time.  Adding ``alpha_j`` adds row ``j`` of
+    the Cartan matrix to the labels, so each step costs one row.
     """
     rank = len(cartan)
-    simple = [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
-    known = set(simple)
-    frontier = list(simple)
+    rows = [sparse_entries(row) for row in cartan]
+    known: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for i in range(rank):
+        known[tuple(1 if i == j else 0 for j in range(rank))] = cartan[i]
+    frontier = list(known.items())
     while frontier:
         fresh = []
-        for c in frontier:
-            pairing = [
-                sum(cartan[i][j] * c[i] for i in range(rank) if c[i])
-                for j in range(rank)
-            ]
-            for j in range(rank):
-                if pairing[j] == -1:
-                    cc = list(c)
-                    cc[j] += 1
-                    tup = tuple(cc)
-                    if tup not in known:
-                        known.add(tup)
-                        fresh.append(tup)
+        for c, labels in frontier:
+            for j, x in enumerate(labels):
+                if x != -1:
+                    continue
+                cc = list(c)
+                cc[j] += 1
+                tup = tuple(cc)
+                if tup not in known:
+                    ll = list(labels)
+                    for k, v in rows[j]:
+                        ll[k] += v
+                    known[tup] = tuple(ll)
+                    fresh.append((tup, known[tup]))
         frontier = fresh
-    return tuple(sorted(known))
+    return tuple(sorted(known.items()))
 
 
 @lru_cache(maxsize=None)
@@ -166,20 +180,24 @@ def build_root_system(lattice: IntersectionLattice) -> RootSystemData:
             ok = cartan[i][j] == 2 if i == j else cartan[i][j] in (0, -1)
             if not ok:
                 raise AssertionError("pairing of simple roots is not simply laced")
-    positives = []
-    for coeffs in _positive_root_coeffs(cartan):
-        total = lattice.zero()
-        for c, a in zip(coeffs, alphas):
+    alpha_entries = [sparse_entries(a.coords) for a in alphas]
+    roots = []
+    for coeffs, _ in _positive_root_coeffs(cartan):
+        coords = [0] * lattice.rank
+        for c, entries in zip(coeffs, alpha_entries):
             if c:
-                total = total + c * a
-        positives.append(total)
-    positives.sort()
+                for k, v in entries:
+                    coords[k] += c * v
+        roots.append((DivisorClass(tuple(coords)), coeffs))
+    roots.sort()
     return RootSystemData(
         lattice=lattice,
         simple_roots=alphas,
         cartan=cartan,
-        positive_roots=tuple(positives),
+        positive_roots=tuple(r for r, _ in roots),
         type_label=_classify_cartan(cartan),
+        root_coeffs=tuple(c for _, c in roots),
+        simple_covectors=tuple(sparse_entries(gram_vector(lattice, a)) for a in alphas),
     )
 
 

@@ -3,9 +3,16 @@
 A class ``D`` orthogonal to ``C`` determines a weight through its Dynkin
 labels ``(-D . alpha_i)_i``; adding multiples of ``K`` or ``C`` does not
 change the labels, so the map factors through the quotient by those two
-classes.  The inner product on label vectors is ``<mu, nu> = mu^T C^{-1} nu``
-normalized so roots have norm 2, which is what the Weyl dimension formula
-and Freudenthal's recursion expect.
+classes.  ``weight_of`` is a dot product with the simple-root covectors the
+root system stores.
+
+The Weyl dimension formula and Freudenthal's recursion run on integers.  In
+a simply laced system, with roots of norm 2, a positive root
+``alpha = sum c_i alpha_i`` pairs with a weight ``mu`` as
+``<mu, alpha> = sum c_i mu_i``, and when ``lam - mu = sum d_i alpha_i``,
+``<lam + rho, lam + rho> - <mu + rho, mu + rho> = sum d_i (lam_i + mu_i + 2)``;
+neither needs the inverse Cartan matrix.  ``inner_product`` evaluates
+``<mu, nu> = mu^T C^{-1} nu`` exactly and is kept as API.
 
 The central identity checked by this module: the multiset of weights of the
 line bundle sum over all lines (plus eight copies of the zero weight in the
@@ -26,11 +33,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .curves import enumerate_lines, enumerate_rulings
-from .lattice import DivisorClass, IntersectionLattice, basis_class, pair
+from .lattice import DivisorClass, IntersectionLattice, basis_class, sparse_entries
 from .linalg import invert
 from .roots import RootSystemData, _positive_root_coeffs
 
 WeightVector = tuple[int, ...]
+
+# Entries kept by each module-level cache keyed on caller-supplied weights
+# or Cartan matrices.
+CACHE_MAXSIZE = 64
 
 
 @dataclass(frozen=True)
@@ -79,8 +90,10 @@ class WeightMultiset:
 
 def weight_of(system: RootSystemData, d: DivisorClass) -> WeightVector:
     """Dynkin labels of a class: ``(-D . alpha_i)`` over the simple roots."""
-    lattice = system.lattice
-    return tuple(-pair(lattice, d, a) for a in system.simple_roots)
+    x = d.coords
+    if len(x) != system.lattice.rank:
+        raise ValueError("coordinate length does not match the lattice rank")
+    return tuple(-sum(x[k] * v for k, v in cov) for cov in system.simple_covectors)
 
 
 def line_highest_class(lattice: IntersectionLattice) -> DivisorClass:
@@ -97,13 +110,18 @@ def ruling_highest_class(lattice: IntersectionLattice) -> DivisorClass:
     return basis_class(lattice, "h") - basis_class(lattice, "l1")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def _cartan_inverse(cartan: tuple[tuple[int, ...], ...]):
     return tuple(tuple(row) for row in invert(cartan))
 
 
 def inner_product(system: RootSystemData, mu: WeightVector, nu: WeightVector) -> Fraction:
-    """Weight space inner product, roots normalized to norm 2."""
+    """Weight space inner product ``mu^T C^{-1} nu``, roots normalized to norm 2.
+
+    Exact, through the inverse Cartan matrix.  Kept as API: the dimension
+    formula and Freudenthal's recursion use the integer identities in the
+    module docstring instead.
+    """
     cinv = _cartan_inverse(system.cartan)
     rank = len(cinv)
     total = Fraction(0)
@@ -114,20 +132,24 @@ def inner_product(system: RootSystemData, mu: WeightVector, nu: WeightVector) ->
 
 
 def weyl_dim(system: RootSystemData, lam: WeightVector) -> int:
-    """Weyl dimension formula, evaluated exactly."""
+    """Weyl dimension formula, evaluated exactly.
+
+    ``prod <lam + rho, alpha> / prod <rho, alpha>`` over the positive roots,
+    with ``<mu, alpha> = sum c_i mu_i`` for ``alpha = sum c_i alpha_i``.
+    """
     if len(lam) != system.rank:
         raise ValueError("weight length does not match the root system rank")
     if any(x < 0 for x in lam):
         raise ValueError("weight is not dominant")
-    rho = (1,) * system.rank
-    lam_rho = tuple(l + 1 for l in lam)
-    result = Fraction(1)
-    for alpha in system.positive_roots:
-        a = weight_of(system, alpha)
-        result *= inner_product(system, lam_rho, a) / inner_product(system, rho, a)
-    if result.denominator != 1:
+    lam_rho = [l + 1 for l in lam]
+    num = den = 1
+    for coeffs in system.root_coeffs:
+        num *= sum(c * m for c, m in zip(coeffs, lam_rho) if c)
+        den *= sum(coeffs)
+    dim, rem = divmod(num, den)
+    if rem:
         raise AssertionError("dimension formula did not produce an integer")
-    return int(result)
+    return dim
 
 
 def _components(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
@@ -151,7 +173,15 @@ def _components(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
     return comps
 
 
-def _dominant_rep(cartan, nu: WeightVector) -> WeightVector:
+def _reflect_labels(row, w: WeightVector, t: int) -> WeightVector:
+    """Labels of ``s_i(w)`` given the sparse Cartan row ``i`` and ``t = w_i``."""
+    y = list(w)
+    for j, v in row:
+        y[j] -= t * v
+    return tuple(y)
+
+
+def _dominant_rep(rows, nu: WeightVector) -> WeightVector:
     labels = list(nu)
     rank = len(labels)
     while True:
@@ -159,25 +189,21 @@ def _dominant_rep(cartan, nu: WeightVector) -> WeightVector:
         if i is None:
             return tuple(labels)
         t = labels[i]
-        row = cartan[i]
-        for j in range(rank):
-            if row[j]:
-                labels[j] -= t * row[j]
+        for j, v in rows[i]:
+            labels[j] -= t * v
 
 
-def _orbit_labels(cartan, start: WeightVector) -> set[WeightVector]:
-    rank = len(cartan)
+def _orbit_labels(rows, start: WeightVector) -> set[WeightVector]:
     seen = {start}
     frontier = [start]
     while frontier:
         fresh = []
         for w in frontier:
-            for i in range(rank):
+            for i, row in enumerate(rows):
                 t = w[i]
                 if t == 0:
                     continue
-                row = cartan[i]
-                y = tuple(w[j] - t * row[j] if row[j] else w[j] for j in range(rank))
+                y = _reflect_labels(row, w, t)
                 if y not in seen:
                     seen.add(y)
                     fresh.append(y)
@@ -185,7 +211,7 @@ def _orbit_labels(cartan, start: WeightVector) -> set[WeightVector]:
     return seen
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def _freudenthal_block(cartan: tuple[tuple[int, ...], ...], lam: WeightVector):
     """Weight multiplicities of the irreducible with highest weight lam.
 
@@ -194,64 +220,50 @@ def _freudenthal_block(cartan: tuple[tuple[int, ...], ...], lam: WeightVector):
     dominant, which reaches every dominant weight below lam), then fill in
     multiplicities by Freudenthal's recursion in order of increasing depth,
     then expand Weyl orbits.  Depth vectors (coordinates of lam - mu over
-    the simple roots) make the cone membership test exact.
+    the simple roots) make the cone membership test exact, and give the
+    norm difference ``<lam + rho, lam + rho> - <mu + rho, mu + rho>`` as
+    ``sum d_i (lam_i + mu_i + 2)``; ``<nu, alpha> = sum c_i nu_i``.
     """
-    rank = len(cartan)
-    cinv = _cartan_inverse(cartan)
+    rows = [sparse_entries(row) for row in cartan]
+    pos = _positive_root_coeffs(cartan)
 
-    def ip(u, v) -> Fraction:
-        total = Fraction(0)
-        for i in range(rank):
-            if u[i]:
-                total += u[i] * sum(cinv[i][j] * v[j] for j in range(rank) if v[j])
-        return total
-
-    pos_coeffs = _positive_root_coeffs(cartan)
-    pos_labels = [
-        tuple(sum(cartan[i][j] * c[i] for i in range(rank) if c[i]) for j in range(rank))
-        for c in pos_coeffs
-    ]
-
-    dom_depth: dict[WeightVector, tuple[int, ...]] = {lam: (0,) * rank}
+    dom_depth: dict[WeightVector, tuple[int, ...]] = {lam: (0,) * len(cartan)}
     frontier = [lam]
     while frontier:
         fresh = []
         for mu in frontier:
             d = dom_depth[mu]
-            for c, al in zip(pos_coeffs, pos_labels):
+            for c, al in pos:
                 nu = tuple(m - a for m, a in zip(mu, al))
                 if all(x >= 0 for x in nu) and nu not in dom_depth:
                     dom_depth[nu] = tuple(x + y for x, y in zip(d, c))
                     fresh.append(nu)
         frontier = fresh
 
-    rho = (1,) * rank
-    lam_rho = tuple(l + 1 for l in lam)
-    lam_norm = ip(lam_rho, lam_rho)
+    support = [(al, sparse_entries(c)) for c, al in pos]
     mult: dict[WeightVector, int] = {}
     for mu in sorted(dom_depth, key=lambda w: (sum(dom_depth[w]), w)):
         if mu == lam:
             mult[mu] = 1
             continue
         depth = dom_depth[mu]
-        acc = Fraction(0)
-        for c, al in zip(pos_coeffs, pos_labels):
-            k = 1
-            while all(d - k * ci >= 0 for d, ci in zip(depth, c)):
+        acc = 0
+        for al, nz in support:
+            kmax = min(depth[i] // ci for i, ci in nz)
+            for k in range(1, kmax + 1):
                 nu = tuple(m + k * a for m, a in zip(mu, al))
-                m_nu = mult.get(_dominant_rep(cartan, nu), 0)
+                m_nu = mult.get(_dominant_rep(rows, nu), 0)
                 if m_nu:
-                    acc += 2 * m_nu * ip(nu, al)
-                k += 1
-        mu_rho = tuple(m + 1 for m in mu)
-        value = acc / (lam_norm - ip(mu_rho, mu_rho))
-        if value.denominator != 1 or value <= 0:
+                    acc += 2 * m_nu * sum(ci * nu[i] for i, ci in nz)
+        gap = sum(d * (l + m + 2) for d, l, m in zip(depth, lam, mu))
+        value, rem = divmod(acc, gap)
+        if rem or value <= 0:
             raise AssertionError("recursion produced a non-positive multiplicity")
-        mult[mu] = int(value)
+        mult[mu] = value
 
     full: dict[WeightVector, int] = {}
     for mu, m in mult.items():
-        for w in _orbit_labels(cartan, mu):
+        for w in _orbit_labels(rows, mu):
             full[w] = m
     return tuple(sorted(full.items()))
 
@@ -286,16 +298,12 @@ def freudenthal(system: RootSystemData, lam: WeightVector) -> WeightMultiset:
 
 
 def is_weyl_invariant(system: RootSystemData, ms: WeightMultiset) -> bool:
-    cartan = system.cartan
-    rank = system.rank
+    rows = [sparse_entries(row) for row in system.cartan]
     d = ms.as_dict()
     for w, m in ms.entries:
-        for i in range(rank):
+        for i, row in enumerate(rows):
             t = w[i]
-            if t == 0:
-                continue
-            y = tuple(w[j] - t * cartan[i][j] if cartan[i][j] else w[j] for j in range(rank))
-            if d.get(y, 0) != m:
+            if t and d.get(_reflect_labels(row, w, t), 0) != m:
                 return False
     return True
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -209,6 +210,14 @@ def test_selftest_passes_and_writes_out(capsys, tmp_path):
     assert code == 0
     assert "selftest: 9/9 checks passed" in out
     assert target.read_text(encoding="utf-8") == out
+
+
+def test_selftest_stdout_matches_golden_file():
+    golden = Path(__file__).parent / "data" / "selftest_stdout.txt"
+    argv = [sys.executable, "-m", "adecox", "selftest"]
+    done = subprocess.run(argv, capture_output=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == golden.read_bytes()
 
 
 def test_selftest_rejects_csv_with_exit_2(capsys):

@@ -1,8 +1,11 @@
 """Weights, multiplicities and the symmetric square decomposition."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adecox import (
     SurfaceFamily,
@@ -11,6 +14,7 @@ from adecox import (
     build_lattice,
     build_root_system,
     decompose_sym2,
+    enumerate_lines,
     freudenthal,
     inner_product,
     is_weyl_invariant,
@@ -22,6 +26,15 @@ from adecox import (
     verify_weight_lemma,
     weight_of,
     weyl_dim,
+)
+from adecox.lattice import pair
+from adecox.linalg import invert
+from adecox.roots import _positive_root_coeffs
+from adecox.weights import (
+    CACHE_MAXSIZE,
+    _cartan_inverse,
+    _components,
+    _freudenthal_block,
 )
 
 
@@ -227,3 +240,266 @@ def test_is_weyl_invariant():
     assert is_weyl_invariant(system, invariant)
     lopsided = WeightMultiset.from_dict({(1, 1): 1})
     assert not is_weyl_invariant(system, lopsided)
+
+
+def test_module_caches_are_bounded():
+    assert _freudenthal_block.cache_info().maxsize == CACHE_MAXSIZE
+    assert _cartan_inverse.cache_info().maxsize == CACHE_MAXSIZE
+    for k in range(CACHE_MAXSIZE + 20):
+        assert sum(m for _, m in _freudenthal_block(((2,),), (k,))) == k + 1
+        assert _cartan_inverse(((k + 1,),)) == ((Fraction(1, k + 1),),)
+    assert _freudenthal_block.cache_info().currsize <= CACHE_MAXSIZE
+    assert _cartan_inverse.cache_info().currsize <= CACHE_MAXSIZE
+
+
+# --------------------------------------------------------------------------
+# Reference: the weight kernel as it was before the integer identities, kept
+# only here as a differential oracle.  Positive roots come from the closure
+# that recomputes each pairing from the Cartan matrix, weights from the
+# generic intersection pairing, and both the dimension formula and
+# Freudenthal's recursion take Fraction inner products through the inverse
+# Cartan matrix.
+
+
+def _ref_positive_root_coeffs(cartan):
+    rank = len(cartan)
+    simple = [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
+    known = set(simple)
+    frontier = list(simple)
+    while frontier:
+        fresh = []
+        for c in frontier:
+            pairing = [sum(cartan[i][j] * c[i] for i in range(rank) if c[i]) for j in range(rank)]
+            for j in range(rank):
+                if pairing[j] == -1:
+                    cc = list(c)
+                    cc[j] += 1
+                    tup = tuple(cc)
+                    if tup not in known:
+                        known.add(tup)
+                        fresh.append(tup)
+        frontier = fresh
+    return sorted(known)
+
+
+def _ref_positive_roots(system):
+    lattice = system.lattice
+    roots = []
+    for coeffs in _ref_positive_root_coeffs(system.cartan):
+        total = lattice.zero()
+        for c, a in zip(coeffs, system.simple_roots):
+            if c:
+                total = total + c * a
+        roots.append(total)
+    return tuple(sorted(roots))
+
+
+def _ref_weight_of(system, d):
+    return tuple(-pair(system.lattice, d, a) for a in system.simple_roots)
+
+
+def _ref_ip(cinv, u, v):
+    rank = len(cinv)
+    total = Fraction(0)
+    for i in range(rank):
+        if u[i]:
+            total += u[i] * sum(cinv[i][j] * v[j] for j in range(rank) if v[j])
+    return total
+
+
+def _ref_weyl_dim(system, lam):
+    cinv = invert(system.cartan)
+    rho = (1,) * system.rank
+    lam_rho = tuple(x + 1 for x in lam)
+    result = Fraction(1)
+    for alpha in _ref_positive_roots(system):
+        a = _ref_weight_of(system, alpha)
+        result *= _ref_ip(cinv, lam_rho, a) / _ref_ip(cinv, rho, a)
+    assert result.denominator == 1
+    return int(result)
+
+
+def _ref_dominant_rep(cartan, nu):
+    labels = list(nu)
+    rank = len(labels)
+    while True:
+        i = next((i for i in range(rank) if labels[i] < 0), None)
+        if i is None:
+            return tuple(labels)
+        t = labels[i]
+        for j in range(rank):
+            if cartan[i][j]:
+                labels[j] -= t * cartan[i][j]
+
+
+def _ref_orbit_labels(cartan, start):
+    rank = len(cartan)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        fresh = []
+        for w in frontier:
+            for i in range(rank):
+                t = w[i]
+                if t == 0:
+                    continue
+                y = tuple(w[j] - t * cartan[i][j] if cartan[i][j] else w[j] for j in range(rank))
+                if y not in seen:
+                    seen.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return seen
+
+
+def _ref_freudenthal_block(cartan, lam):
+    rank = len(cartan)
+    cinv = invert(cartan)
+    pos_coeffs = _ref_positive_root_coeffs(cartan)
+    pos_labels = [
+        tuple(sum(cartan[i][j] * c[i] for i in range(rank) if c[i]) for j in range(rank))
+        for c in pos_coeffs
+    ]
+    dom_depth = {lam: (0,) * rank}
+    frontier = [lam]
+    while frontier:
+        fresh = []
+        for mu in frontier:
+            d = dom_depth[mu]
+            for c, al in zip(pos_coeffs, pos_labels):
+                nu = tuple(m - a for m, a in zip(mu, al))
+                if all(x >= 0 for x in nu) and nu not in dom_depth:
+                    dom_depth[nu] = tuple(x + y for x, y in zip(d, c))
+                    fresh.append(nu)
+        frontier = fresh
+    lam_rho = tuple(x + 1 for x in lam)
+    lam_norm = _ref_ip(cinv, lam_rho, lam_rho)
+    mult = {}
+    for mu in sorted(dom_depth, key=lambda w: (sum(dom_depth[w]), w)):
+        if mu == lam:
+            mult[mu] = 1
+            continue
+        depth = dom_depth[mu]
+        acc = Fraction(0)
+        for c, al in zip(pos_coeffs, pos_labels):
+            k = 1
+            while all(d - k * ci >= 0 for d, ci in zip(depth, c)):
+                nu = tuple(m + k * a for m, a in zip(mu, al))
+                m_nu = mult.get(_ref_dominant_rep(cartan, nu), 0)
+                if m_nu:
+                    acc += 2 * m_nu * _ref_ip(cinv, nu, al)
+                k += 1
+        mu_rho = tuple(m + 1 for m in mu)
+        value = acc / (lam_norm - _ref_ip(cinv, mu_rho, mu_rho))
+        assert value.denominator == 1 and value > 0
+        mult[mu] = int(value)
+    full = {}
+    for mu, m in mult.items():
+        for w in _ref_orbit_labels(cartan, mu):
+            full[w] = m
+    return full
+
+
+def _ref_freudenthal(system, lam):
+    result = {(0,) * system.rank: 1}
+    for comp in _components(system.cartan):
+        sub_cartan = tuple(tuple(system.cartan[i][j] for j in comp) for i in comp)
+        block = _ref_freudenthal_block(sub_cartan, tuple(lam[i] for i in comp))
+        merged = {}
+        for base, m0 in result.items():
+            for w, m in block.items():
+                labels = list(base)
+                for pos, val in zip(comp, w):
+                    labels[pos] = val
+                merged[tuple(labels)] = m0 * m
+        result = merged
+    return WeightMultiset.from_dict(result)
+
+
+ORACLE_SYSTEMS = (
+    [("E", n) for n in range(3, 9)] + [("D", n) for n in range(2, 10)] + [("A", n) for n in range(1, 9)]
+)
+
+
+def _oracle_weights(system, rng):
+    """The line weight, its double, the E ruling weight and two seeded small
+    dominant weights (one or two nonzero labels of size 1 or 2, reference
+    dimension at most 3000)."""
+    line = _ref_weight_of(system, line_highest_class(system.lattice))
+    lams = [line, tuple(2 * x for x in line)]
+    if system.lattice.family.kind == "E":
+        lams.append(_ref_weight_of(system, ruling_highest_class(system.lattice)))
+    seeded = []
+    while len(seeded) < 2:
+        lam = [0] * system.rank
+        for i in rng.sample(range(system.rank), min(system.rank, rng.randint(1, 2))):
+            lam[i] = rng.randint(1, 2)
+        if _ref_weyl_dim(system, lam) <= 3000:
+            seeded.append(tuple(lam))
+    return lams + seeded
+
+
+@pytest.mark.parametrize("kind,n", ORACLE_SYSTEMS)
+def test_weight_kernel_matches_fraction_reference(kind, n):
+    system = _system(kind, n)
+    assert system.positive_roots == _ref_positive_roots(system)
+    for line in enumerate_lines(system.lattice):
+        assert weight_of(system, line) == _ref_weight_of(system, line)
+    for lam in _oracle_weights(system, random.Random(f"{kind}{n}")):
+        assert weyl_dim(system, lam) == _ref_weyl_dim(system, lam), lam
+        assert freudenthal(system, lam) == _ref_freudenthal(system, lam), lam
+
+
+def test_weight_of_rejects_wrong_coordinate_length():
+    system = _system("E", 6)
+    with pytest.raises(ValueError):
+        weight_of(system, basis_class(build_lattice(SurfaceFamily("E", 7)), "h"))
+
+
+def _positive_root_count(type_label):
+    count = 0
+    for part in type_label.split("x"):
+        kind, k = part[0], int(part[1:])
+        count += {"A": k * (k + 1) // 2, "D": k * (k - 1), "E": {6: 36, 7: 63, 8: 120}.get(k)}[kind]
+    return count
+
+
+@pytest.mark.parametrize("kind,n", ORACLE_SYSTEMS)
+def test_positive_root_coeffs_carry_cartan_labels(kind, n):
+    system = _system(kind, n)
+    cartan = system.cartan
+    rank = system.rank
+    pos = _positive_root_coeffs(cartan)
+    assert len(pos) == _positive_root_count(system.type_label)
+    for c, labels in pos:
+        assert labels == tuple(sum(cartan[i][j] * c[i] for i in range(rank)) for j in range(rank))
+    assert sorted(system.root_coeffs) == [c for c, _ in pos]
+    for root, coeffs in zip(system.positive_roots, system.root_coeffs):
+        total = system.lattice.zero()
+        for c, a in zip(coeffs, system.simple_roots):
+            total = total + c * a
+        assert total == root
+
+
+SMALL_SYSTEMS = [("A", n) for n in range(1, 6)] + [("D", n) for n in range(2, 6)] + [("E", n) for n in range(3, 6)]
+
+
+@st.composite
+def _small_dominant(draw):
+    """A system of rank <= 5 and a dominant weight with labels in 0..2, at
+    most two of them nonzero so the module stays small."""
+    kind, n = draw(st.sampled_from(SMALL_SYSTEMS))
+    system = _system(kind, n)
+    lam = [0] * system.rank
+    for i in draw(st.sets(st.integers(0, system.rank - 1), max_size=2)):
+        lam[i] = draw(st.integers(1, 2))
+    return system, tuple(lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_dominant())
+def test_freudenthal_properties(case):
+    system, lam = case
+    ms = freudenthal(system, lam)
+    assert ms.total == weyl_dim(system, lam)
+    assert is_weyl_invariant(system, ms)
+    assert ms.get(lam) == 1
