@@ -36,7 +36,6 @@ from .flag import (
     Quadric,
     QuadricSystem,
     QuadricVariable,
-    an_report,
     appendix_tensor_check,
     cone_quadric_D,
     embed_cox_into_cone_D,
@@ -92,7 +91,6 @@ __all__ = [
     "SurfaceConfigD",
     "SurfaceFamily",
     "WeightMultiset",
-    "an_report",
     "anticanonical_shift",
     "appendix_tensor_check",
     "basis_class",

@@ -23,46 +23,33 @@ from fractions import Fraction
 
 from .cox import (
     SurfaceConfigD,
-    anticanonical_shift,
     cox_presentation,
     dn_ideal,
     git_hilbert,
     relation_census,
     verify_hilbert,
 )
-from .curves import enumerate_lines, enumerate_roots, enumerate_rulings
+from .curves import ENUMERATORS, enumerate_lines, enumerate_rulings
 from .flag import QuadricSystem, appendix_tensor_check, cone_quadric_D, embed_cox_into_cone_D
-from .lattice import IntersectionLattice, SurfaceFamily, basis_class, build_lattice
+from .lattice import DivisorClass, IntersectionLattice, SurfaceFamily, basis_class, build_lattice
 from .roots import build_root_system, weyl_orbit
-from .selftest import run_selftest
+from .selftest import _census_predictions, run_selftest
 from .weights import decompose_sym2, line_highest_class, verify_weight_lemma
-
-_ENUMERATORS = {
-    "roots": enumerate_roots,
-    "lines": enumerate_lines,
-    "rulings": enumerate_rulings,
-}
-
-
-def _parse_points(text: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(
-            Fraction(token.strip()) for token in text.split(",") if token.strip()
-        )
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse points {text!r}: {exc}") from exc
 
 
 def _build_lattice_from(args) -> IntersectionLattice:
     return build_lattice(SurfaceFamily(args.family, args.n))
 
 
-def _require_points(args, n: int) -> SurfaceConfigD:
+def _config_from(args) -> SurfaceConfigD | None:
+    """The fiber positions given by ``--points``, or None without it."""
     if args.points is None:
-        raise ValueError("this command needs --points for the D family")
-    points = _parse_points(args.points)
-    if len(points) != n:
-        raise ValueError(f"expected {n} points, got {len(points)}")
+        return None
+    text = args.points
+    try:
+        points = tuple(Fraction(token.strip()) for token in text.split(",") if token.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot parse points {text!r}: {exc}") from exc
     return SurfaceConfigD(points)
 
 
@@ -117,7 +104,7 @@ def _emit(doc: dict, args, csv_rows=None) -> None:
 
 def cmd_enumerate(args) -> int:
     lattice = _build_lattice_from(args)
-    classes = _ENUMERATORS[args.what](lattice)
+    classes = ENUMERATORS[args.what](lattice)
     doc = {
         "command": "enumerate",
         "family": lattice.family.kind,
@@ -162,16 +149,7 @@ def _verify_weights(lattice: IntersectionLattice) -> list[dict]:
 
 
 def _verify_hilbert(lattice: IntersectionLattice, args) -> list[dict]:
-    fam = lattice.family
-    if fam.kind == "A":
-        presentation = cox_presentation(lattice)
-    elif fam.kind == "D":
-        if fam.n < 3:
-            presentation = cox_presentation(lattice)
-        else:
-            presentation = dn_ideal(lattice, _require_points(args, fam.n))
-    else:
-        raise ValueError("hilbert verification covers the A and D families")
+    presentation = cox_presentation(lattice, _config_from(args))
     report = verify_hilbert(presentation, lattice, args.max_degree)
     entry = dict(report)
     entry["check"] = "graded-vs-section-dimensions"
@@ -179,48 +157,27 @@ def _verify_hilbert(lattice: IntersectionLattice, args) -> list[dict]:
     return [entry]
 
 
+def _census_entry(lattice: IntersectionLattice, check: str, target: DivisorClass) -> dict:
+    census = relation_census(lattice, target)
+    return {
+        "check": check,
+        "target": list(target.coords),
+        "monomials": census.monomials,
+        "sections": census.sections,
+        "relations": census.relations,
+    }
+
+
 def _verify_census(lattice: IntersectionLattice) -> list[dict]:
-    fam = lattice.family
+    per_ruling, expected_total, classes = _census_predictions(lattice)
     entries: list[dict] = []
-    if fam.kind == "D":
-        census = relation_census(lattice, basis_class(lattice, "f"))
-        expected = (fam.n, 2, fam.n - 2)
-        got = (census.monomials, census.sections, census.relations)
-        entries.append(
-            {
-                "check": "ruling-census",
-                "target": list(basis_class(lattice, "f").coords),
-                "monomials": census.monomials,
-                "sections": census.sections,
-                "relations": census.relations,
-                "expected": list(expected),
-                "pass": got == expected,
-            }
-        )
-        return entries
-    if fam.kind != "E" or fam.n < 4:
-        raise ValueError(
-            "census verification covers the D family and E families with n >= 4"
-        )
-    per_ruling = {4: 1, 5: 2, 6: 3, 7: 4}
-    if fam.n in per_ruling:
-        expected = per_ruling[fam.n]
-        total = 0
+    if per_ruling is not None:
         for ruling in enumerate_rulings(lattice):
-            census = relation_census(lattice, ruling)
-            total += census.relations
-            entries.append(
-                {
-                    "check": "ruling-census",
-                    "target": list(ruling.coords),
-                    "monomials": census.monomials,
-                    "sections": census.sections,
-                    "relations": census.relations,
-                    "expected_relations": expected,
-                    "pass": census.relations == expected,
-                }
-            )
-        expected_total = {4: 5, 5: 20, 6: 81, 7: 504}[fam.n]
+            entry = _census_entry(lattice, "ruling-census", ruling)
+            entry["expected_relations"] = per_ruling
+            entry["pass"] = entry["relations"] == per_ruling
+            entries.append(entry)
+        total = sum(entry["relations"] for entry in entries)
         entries.append(
             {
                 "check": "ruling-census-total",
@@ -229,48 +186,11 @@ def _verify_census(lattice: IntersectionLattice) -> list[dict]:
                 "pass": total == expected_total,
             }
         )
-    shift = anticanonical_shift(lattice)
-    if fam.n == 7:
-        census = relation_census(lattice, shift)
-        got = (census.monomials, census.sections, census.relations)
-        entries.append(
-            {
-                "check": "anticanonical-census",
-                "target": list(shift.coords),
-                "monomials": census.monomials,
-                "sections": census.sections,
-                "relations": census.relations,
-                "expected": [28, 3, 25],
-                "pass": got == (28, 3, 25),
-            }
-        )
-    if fam.n == 8:
-        census = relation_census(lattice, shift)
-        entries.append(
-            {
-                "check": "anticanonical-census",
-                "target": list(shift.coords),
-                "monomials": census.monomials,
-                "sections": census.sections,
-                "relations": census.relations,
-                "expected": [2, 2, 0],
-                "pass": (census.monomials, census.sections, census.relations)
-                == (2, 2, 0),
-            }
-        )
-        doubled = relation_census(lattice, shift + shift)
-        entries.append(
-            {
-                "check": "doubled-anticanonical-census",
-                "target": list((shift + shift).coords),
-                "monomials": doubled.monomials,
-                "sections": doubled.sections,
-                "relations": doubled.relations,
-                "expected": [123, 4, 119],
-                "pass": (doubled.monomials, doubled.sections, doubled.relations)
-                == (123, 4, 119),
-            }
-        )
+    for check, target, expected in classes:
+        entry = _census_entry(lattice, check, target)
+        entry["expected"] = list(expected)
+        entry["pass"] = (entry["monomials"], entry["sections"], entry["relations"]) == expected
+        entries.append(entry)
     return entries
 
 
@@ -343,7 +263,9 @@ def cmd_quadrics(args) -> int:
             "quadrics are emitted for the D family with n >= 3 and for "
             "the rank-drop cases (E,3) and (D,2)"
         )
-    config = _require_points(args, fam.n)
+    config = _config_from(args)
+    if config is None:
+        raise ValueError("this command needs --points for the D family")
     presentation = dn_ideal(lattice, config)
     cone = cone_quadric_D(lattice)
     embedded, report = embed_cox_into_cone_D(lattice, config)

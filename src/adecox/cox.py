@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
 
-from .curves import enumerate_lines, enumerate_rulings, pairs_of_lines_summing_to
+from .curves import KINDS, enumerate_lines, pairs_of_lines_summing_to
 from .lattice import (
     DivisorClass,
     IntersectionLattice,
@@ -107,9 +107,7 @@ class CoxPresentation:
         object.__setattr__(self, "_order", tuple(order))
         object.__setattr__(self, "_vectors", vectors)
         object.__setattr__(self, "_steps", _search_steps(vectors, self.lattice.rank))
-        # Pairing with these covectors gives a class's pairing with C and
-        # its anticanonical degree.
-        object.__setattr__(self, "_c_covector", gram_vector(self.lattice, self.lattice.C))
+        # Pairing with this covector gives a class's anticanonical degree.
         object.__setattr__(self, "_degree_covector", gram_vector(self.lattice, -self.lattice.K))
         # Relations grouped by class as (class, degree, relations), each term
         # as (integer coefficient, positions); scaling a relation by a
@@ -181,8 +179,6 @@ def dn_ideal(lattice: IntersectionLattice, config: SurfaceConfigD) -> CoxPresent
     if len(config.points) != n:
         raise ValueError(f"need exactly {n} fiber positions, got {len(config.points)}")
     generators = tuple(Generator(name, cls) for name, cls in cox_generators(lattice))
-    if n < 3:
-        return CoxPresentation(lattice, generators, ())
     t = config.points
     f = basis_class(lattice, "f")
     relations = []
@@ -199,21 +195,23 @@ def dn_ideal(lattice: IntersectionLattice, config: SurfaceConfigD) -> CoxPresent
 def cox_presentation(
     lattice: IntersectionLattice, config: SurfaceConfigD | None = None
 ) -> CoxPresentation:
-    """Generators plus relations where the relations are constructible."""
+    """Generators plus relations where the relations are constructible.
+
+    The one place that decides which families carry relations.  Without
+    fiber positions the A family and (D, 2) give the free ring; positions,
+    required for the D family with n >= 3, go to `dn_ideal`, which refuses
+    a wrong count and any other family.  The E family is refused: its
+    relations are only counted (`relation_census`).
+    """
     fam = lattice.family
-    if fam.kind == "A":
-        gens = tuple(Generator(name, cls) for name, cls in cox_generators(lattice))
-        return CoxPresentation(lattice, gens, ())
-    if fam.kind == "D":
-        if fam.n < 3:
-            gens = tuple(Generator(name, cls) for name, cls in cox_generators(lattice))
-            return CoxPresentation(lattice, gens, ())
-        if config is None:
-            raise ValueError("D-family presentations with n >= 3 need fiber positions")
+    if fam.kind == "E":
+        raise ValueError("E-family relation ideals are not constructed; use relation_census")
+    if config is not None:
         return dn_ideal(lattice, config)
-    raise ValueError(
-        "E-family relation ideals are not constructed; use relation_census"
-    )
+    if fam.kind == "D" and fam.n >= 3:
+        raise ValueError("D-family presentations with n >= 3 need fiber positions")
+    gens = tuple(Generator(name, cls) for name, cls in cox_generators(lattice))
+    return CoxPresentation(lattice, gens, ())
 
 
 def section_dim(lattice: IntersectionLattice, d: DivisorClass) -> int:
@@ -227,30 +225,46 @@ def section_dim(lattice: IntersectionLattice, d: DivisorClass) -> int:
     (lines, rulings, ``-K + C`` for n in {7, 8}, ``-2K + 2C`` for n = 8),
     where the dimension equals ``1 + (D^2 - D.K) / 2``.
     """
+    x = _orthogonal_coords(lattice, d)
+    fam = lattice.family
+    if fam.kind == "A":
+        return 1 if all(c >= 0 for c in x[1:]) else 0
+    if fam.kind == "D":
+        a0 = x[0] + sum(c for c in x[2:] if c < 0)
+        return a0 + 1 if a0 >= 0 else 0
+    if not _has_known_sections(lattice, d, ("lines", "rulings")):
+        raise ValueError(f"unsupported E-family class {d}")
+    return 1 + (pair(lattice, d, d) - pair(lattice, d, lattice.K)) // 2
+
+
+def _orthogonal_coords(lattice: IntersectionLattice, d: DivisorClass) -> tuple[int, ...]:
+    """The coordinates of ``d``, checked for length and orthogonality to ``C``."""
     x = d.coords
     if len(x) != lattice.rank:
         raise ValueError("coordinate length does not match the lattice rank")
     if sum(x[k] * v for k, v in lattice.c_covector):
         raise ValueError("class must be orthogonal to C")
+    return x
+
+
+def _has_known_sections(
+    lattice: IntersectionLattice, d: DivisorClass, kinds: tuple[str, ...]
+) -> bool:
+    """Whether a class orthogonal to ``C`` is of one of the curve ``kinds``
+    or is ``-K + C`` on (E, 7) and (E, 8) or ``-2K + 2C`` on (E, 8).
+
+    Enumeration is exhaustive (selftest C9 checks it against a box search),
+    so a class orthogonal to ``C`` is a line or a ruling exactly when its
+    ``(D.D, D.K)`` is that kind's pair in ``curves.KINDS``.
+    """
+    numbers = (pair(lattice, d, d), pair(lattice, d, lattice.K))
+    if any(KINDS[kind] == numbers for kind in kinds):
+        return True
     fam = lattice.family
-    if fam.kind == "A":
-        return 1 if all(c >= 0 for c in d.coords[1:]) else 0
-    if fam.kind == "D":
-        a = d.coords[0]
-        a0 = a + sum(c for c in d.coords[2:] if c < 0)
-        return a0 + 1 if a0 >= 0 else 0
-    supported = d in enumerate_lines(lattice).as_set() or d in enumerate_rulings(
-        lattice
-    ).as_set()
     shift = anticanonical_shift(lattice)
-    if fam.n in (7, 8) and d == shift:
-        supported = True
-    if fam.n == 8 and d == shift + shift:
-        supported = True
-    if not supported:
-        raise ValueError(f"unsupported E-family class {d}")
-    chi = 1 + (pair(lattice, d, d) - pair(lattice, d, lattice.K)) // 2
-    return chi
+    return fam.kind == "E" and (
+        (fam.n >= 7 and d == shift) or (fam.n == 8 and d == shift + shift)
+    )
 
 
 def _search_steps(vectors, rank: int):
@@ -437,11 +451,7 @@ def graded_piece_dim(
     """
     if lattice != presentation.lattice:
         raise ValueError("lattice does not match the presentation")
-    coords = d.coords
-    if len(coords) != lattice.rank:
-        raise ValueError("coordinate length does not match the lattice rank")
-    if sum(map(mul, coords, presentation._c_covector)):
-        raise ValueError("class must be orthogonal to C")
+    coords = _orthogonal_coords(lattice, d)
     deg = sum(map(mul, coords, presentation._degree_covector))
     monomials = _class_monomials(presentation, coords, deg, cap)
     if not monomials:
@@ -510,20 +520,13 @@ def relation_census(lattice: IntersectionLattice, target: DivisorClass) -> Relat
     pairs summing to the target, plus the products of the two extra (E, 8)
     generators where those land in the target class.
     """
-    fam = lattice.family
-    lines = enumerate_lines(lattice)
-    rulings = enumerate_rulings(lattice).as_set()
-    shift = anticanonical_shift(lattice)
-    is_e8 = fam.kind == "E" and fam.n == 8
-    supported = target in rulings
-    if fam.kind == "E" and fam.n in (7, 8) and target == shift:
-        supported = True
-    if is_e8 and target == shift + shift:
-        supported = True
-    if not supported:
+    _orthogonal_coords(lattice, target)
+    if not _has_known_sections(lattice, target, ("rulings",)):
         raise ValueError(f"unsupported census target {target}")
-    monomials = pairs_of_lines_summing_to(lattice, target, lines)
-    if is_e8:
+    monomials = pairs_of_lines_summing_to(lattice, target, enumerate_lines(lattice))
+    fam = lattice.family
+    if fam.kind == "E" and fam.n == 8:
+        shift = anticanonical_shift(lattice)
         if target == shift + shift:
             monomials += 3  # k1^2, k1 k2, k2^2
         elif target == shift:

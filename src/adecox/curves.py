@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .lattice import DivisorClass, IntersectionLattice
+from .lattice import CACHE_MAXSIZE, DivisorClass, IntersectionLattice
 
 KINDS = {
     "roots": (-2, 0),
@@ -137,7 +137,7 @@ def _enumerate(lattice: IntersectionLattice, self_int: int, k_int: int):
     return classes
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def _enumerate_kind(lattice: IntersectionLattice, kind: str) -> ClassSet:
     self_int, k_int = KINDS[kind]
     return ClassSet(lattice, kind, _enumerate(lattice, self_int, k_int))
@@ -153,6 +153,13 @@ def enumerate_lines(lattice: IntersectionLattice) -> ClassSet:
 
 def enumerate_rulings(lattice: IntersectionLattice) -> ClassSet:
     return _enumerate_kind(lattice, "rulings")
+
+
+ENUMERATORS = {
+    "roots": enumerate_roots,
+    "lines": enumerate_lines,
+    "rulings": enumerate_rulings,
+}
 
 
 def pairs_of_lines_summing_to(

@@ -15,13 +15,12 @@ at the level of weight multisets together with the 2x2 Segre quadric.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cox import CoxPresentation, SurfaceConfigD, cox_generators, dn_ideal
+from .cox import CoxPresentation, SurfaceConfigD, dn_ideal
 from .curves import enumerate_lines
-from .lattice import DivisorClass, IntersectionLattice, basis_class, pair
+from .lattice import DivisorClass, IntersectionLattice, basis_class
 from .linalg import rational_rank
 from .roots import build_root_system
 from .weights import WeightVector, weight_of
@@ -183,29 +182,6 @@ def embed_cox_into_cone_D(
         "certified": certified,
     }
     return quad_system, report
-
-
-def an_report(lattice: IntersectionLattice, max_degree: int = 6) -> dict:
-    """Free-ring data identifying the A-family quotient with projective space.
-
-    The ring on ``n + 1`` degree-1 generators has ``binomial(d + n, n)``
-    monomials in total degree d, the Hilbert function of projective n-space;
-    generator weights are pairwise distinct.
-    """
-    fam = lattice.family
-    if fam.kind != "A":
-        raise ValueError("report is defined for the A family")
-    system = build_root_system(lattice)
-    gens = cox_generators(lattice)
-    weights = [weight_of(system, cls) for _, cls in gens]
-    dims = [math.comb(d + fam.n, fam.n) for d in range(max_degree + 1)]
-    return {
-        "generators": len(gens),
-        "relations": 0,
-        "dims_by_degree": dims,
-        "weights_distinct": len(set(weights)) == len(weights),
-        "ok": len(gens) == fam.n + 1 and len(set(weights)) == len(weights),
-    }
 
 
 def appendix_tensor_check(

@@ -24,6 +24,11 @@ from functools import lru_cache
 
 E_RANGE = range(3, 9)
 
+# Entries kept by each module-level cache, whether keyed on a surface or on
+# caller-supplied weights and Cartan matrices.  A selftest run touches 16
+# lattices and 48 (lattice, kind) enumeration keys.
+CACHE_MAXSIZE = 64
+
 
 @dataclass(frozen=True, order=True)
 class DivisorClass:
@@ -103,7 +108,7 @@ class IntersectionLattice:
         return DivisorClass((0,) * self.rank)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def build_lattice(family: SurfaceFamily) -> IntersectionLattice:
     n = family.n
     rank = family.rank

@@ -26,6 +26,7 @@ from functools import lru_cache
 
 from .curves import ClassSet
 from .lattice import (
+    CACHE_MAXSIZE,
     DivisorClass,
     IntersectionLattice,
     basis_class,
@@ -72,7 +73,7 @@ def simple_roots(lattice: IntersectionLattice) -> tuple[DivisorClass, ...]:
     return tuple(alphas)
 
 
-def _classify_component(adj: dict[int, list[int]], comp: list[int]) -> str:
+def _classify_component(adj: dict[int, list[int]], comp: tuple[int, ...]) -> str:
     k = len(comp)
     degs = sorted(len(adj[v]) for v in comp)
     nedges = sum(len(adj[v]) for v in comp) // 2
@@ -102,11 +103,11 @@ def _classify_component(adj: dict[int, list[int]], comp: list[int]) -> str:
     raise ValueError("diagram is not of ADE type")
 
 
-def _classify_cartan(cartan: tuple[tuple[int, ...], ...]) -> str:
+def _components(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
+    """Connected components of the Dynkin diagram, each as sorted node indices."""
     rank = len(cartan)
-    adj = {i: [j for j in range(rank) if j != i and cartan[i][j] != 0] for i in range(rank)}
     seen: set[int] = set()
-    labels = []
+    comps = []
     for i in range(rank):
         if i in seen:
             continue
@@ -115,12 +116,19 @@ def _classify_cartan(cartan: tuple[tuple[int, ...], ...]) -> str:
         stack = [i]
         while stack:
             v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
+            for w in range(rank):
+                if w not in seen and w != v and cartan[v][w] != 0:
                     seen.add(w)
                     comp.append(w)
                     stack.append(w)
-        labels.append(_classify_component(adj, comp))
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
+def _classify_cartan(cartan: tuple[tuple[int, ...], ...]) -> str:
+    rank = len(cartan)
+    adj = {i: [j for j in range(rank) if j != i and cartan[i][j] != 0] for i in range(rank)}
+    labels = [_classify_component(adj, comp) for comp in _components(cartan)]
     labels.sort(key=lambda s: (-int(s[1:]), s[0]))
     return "x".join(labels)
 
@@ -162,7 +170,7 @@ def _positive_root_coeffs(
     return tuple(sorted(known.items()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def build_root_system(lattice: IntersectionLattice) -> RootSystemData:
     alphas = simple_roots(lattice)
     for a in alphas:
@@ -202,7 +210,7 @@ def build_root_system(lattice: IntersectionLattice) -> RootSystemData:
 
 
 def classify_type(system: RootSystemData) -> str:
-    return _classify_cartan(system.cartan)
+    return system.type_label
 
 
 def positive_roots(system: RootSystemData) -> tuple[DivisorClass, ...]:
@@ -218,21 +226,25 @@ def reflect(lattice: IntersectionLattice, x: DivisorClass, alpha: DivisorClass) 
 
 def weyl_orbit(system: RootSystemData, seed: DivisorClass) -> ClassSet:
     """Closure of a class under all simple reflections, sorted."""
-    lattice = system.lattice
-    galphas = [gram_vector(lattice, a) for a in system.simple_roots]
-    acoords = [a.coords for a in system.simple_roots]
+    reflections = [
+        (cov, sparse_entries(a.coords))
+        for cov, a in zip(system.simple_covectors, system.simple_roots)
+    ]
     seen = {seed.coords}
     frontier = [seed.coords]
     while frontier:
         fresh = []
         for x in frontier:
-            for ga, ac in zip(galphas, acoords):
-                t = sum(xi * gi for xi, gi in zip(x, ga) if gi)
+            for cov, alpha in reflections:
+                t = sum(x[k] * v for k, v in cov)
                 if t:
-                    y = tuple(xi + t * ai for xi, ai in zip(x, ac))
+                    y = list(x)
+                    for k, v in alpha:
+                        y[k] += t * v
+                    y = tuple(y)
                     if y not in seen:
                         seen.add(y)
                         fresh.append(y)
         frontier = fresh
     classes = tuple(DivisorClass(c) for c in sorted(seen))
-    return ClassSet(lattice=lattice, kind="orbit", classes=classes)
+    return ClassSet(lattice=system.lattice, kind="orbit", classes=classes)

@@ -33,15 +33,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .curves import enumerate_lines, enumerate_rulings
-from .lattice import DivisorClass, IntersectionLattice, basis_class, sparse_entries
+from .lattice import CACHE_MAXSIZE, DivisorClass, IntersectionLattice, basis_class, sparse_entries
 from .linalg import invert
-from .roots import RootSystemData, _positive_root_coeffs
+from .roots import RootSystemData, _components, _positive_root_coeffs
 
 WeightVector = tuple[int, ...]
-
-# Entries kept by each module-level cache keyed on caller-supplied weights
-# or Cartan matrices.
-CACHE_MAXSIZE = 64
 
 
 @dataclass(frozen=True)
@@ -64,13 +60,6 @@ class WeightMultiset:
     def total(self) -> int:
         return sum(m for _, m in self.entries)
 
-    @property
-    def support_size(self) -> int:
-        return len(self.entries)
-
-    def get(self, w: WeightVector) -> int:
-        return dict(self.entries).get(w, 0)
-
     def add(self, other: "WeightMultiset") -> "WeightMultiset":
         d = self.as_dict()
         for w, m in other.entries:
@@ -82,10 +71,6 @@ class WeightMultiset:
         for w, m in other.entries:
             d[w] = d.get(w, 0) - m
         return WeightMultiset.from_dict(d)
-
-    def contains(self, other: "WeightMultiset") -> bool:
-        d = self.as_dict()
-        return all(d.get(w, 0) >= m for w, m in other.entries)
 
 
 def weight_of(system: RootSystemData, d: DivisorClass) -> WeightVector:
@@ -150,27 +135,6 @@ def weyl_dim(system: RootSystemData, lam: WeightVector) -> int:
     if rem:
         raise AssertionError("dimension formula did not produce an integer")
     return dim
-
-
-def _components(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
-    rank = len(cartan)
-    seen: set[int] = set()
-    comps = []
-    for i in range(rank):
-        if i in seen:
-            continue
-        comp = [i]
-        seen.add(i)
-        stack = [i]
-        while stack:
-            v = stack.pop()
-            for w in range(rank):
-                if w not in seen and w != v and cartan[v][w] != 0:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
 
 
 def _reflect_labels(row, w: WeightVector, t: int) -> WeightVector:
@@ -308,7 +272,7 @@ def is_weyl_invariant(system: RootSystemData, ms: WeightMultiset) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def line_weight_multiset(system: RootSystemData) -> WeightMultiset:
     """Weights of the line bundle sum: one per line, plus zero^8 for (E, 8)."""
     lattice = system.lattice
@@ -324,7 +288,7 @@ def line_weight_multiset(system: RootSystemData) -> WeightMultiset:
     return WeightMultiset.from_dict(counts)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def ruling_weight_multiset(system: RootSystemData) -> WeightMultiset:
     counts: dict[WeightVector, int] = {}
     for r in enumerate_rulings(system.lattice):

@@ -110,6 +110,18 @@ def test_verify_hilbert_rejects_e_family(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--family", "D", "--n", "2", "--points", "0,1,2"], ["--family", "A", "--n", "3", "--points", "0,1,2,3"]]
+    + [["--family", "E", "--n", str(n)] for n in range(3, 9)],
+)
+def test_verify_hilbert_refuses_what_has_no_presentation(capsys, argv):
+    code, out, err = run_cli(capsys, ["verify", "--which", "hilbert"] + argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_verify_census_e6(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--which", "census", "--family", "E", "--n", "6"])
     assert code == 0
@@ -218,6 +230,33 @@ def test_selftest_stdout_matches_golden_file():
     done = subprocess.run(argv, capture_output=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout == golden.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        (f"census_{kind}{n}.json", ["--which", "census", "--family", kind, "--n", str(n)])
+        for kind, n in (("E", 6), ("E", 7), ("E", 8), ("D", 5))
+    ]
+    + [
+        ("hilbert_A3.json", ["--which", "hilbert", "--family", "A", "--n", "3", "--max-degree", "3"]),
+        ("hilbert_D2.json", ["--which", "hilbert", "--family", "D", "--n", "2", "--max-degree", "3"]),
+        (
+            "hilbert_D2.json",
+            ["--which", "hilbert", "--family", "D", "--n", "2", "--points", "0,1", "--max-degree", "3"],
+        ),
+        (
+            "hilbert_D4.json",
+            ["--which", "hilbert", "--family", "D", "--n", "4", "--points", "0,1,2,3",
+             "--max-degree", "3"],
+        ),
+    ],
+)
+def test_verify_stdout_matches_golden_file(capsys, name, argv):
+    golden = Path(__file__).parent / "data" / "cli" / name
+    code, out, err = run_cli(capsys, ["verify"] + argv)
+    assert code == 0, err
+    assert out.encode("utf-8") == golden.read_bytes()
 
 
 def test_selftest_rejects_csv_with_exit_2(capsys):

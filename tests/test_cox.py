@@ -20,6 +20,9 @@ from adecox import (
     cox_presentation,
     degree,
     dn_ideal,
+    enumerate_lines,
+    enumerate_roots,
+    enumerate_rulings,
     git_hilbert,
     graded_piece_dim,
     relation_census,
@@ -27,7 +30,10 @@ from adecox import (
     torus_character,
     verify_hilbert,
 )
+from adecox import cox as cox_module
 from adecox.cox import MONOMIAL_CAP, _class_monomials, _monomial_table
+from adecox.curves import KINDS
+from adecox.lattice import pair
 from adecox.linalg import rational_rank
 
 
@@ -285,6 +291,52 @@ def test_relation_census_rejects_unsupported_targets():
     lat = _lat("E", 6)
     with pytest.raises(ValueError):
         relation_census(lat, basis_class(lat, "l1"))
+
+
+def _accepts(fn, lat, d):
+    try:
+        fn(lat, d)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "kind,n",
+    [("E", n) for n in range(3, 9)] + [("D", n) for n in range(2, 10)] + [("A", n) for n in range(1, 9)],
+)
+def test_supported_classes_are_lines_rulings_and_the_shift_list(kind, n, monkeypatch):
+    """Candidates: every enumerated class and the pairwise sums of the roots,
+    lines and shift classes (E8's 2160 rulings are not summed in pairs).
+    The census line-pair count plays no part in what is accepted, so it is
+    stubbed to keep E8's rulings cheap."""
+    monkeypatch.setattr(cox_module, "pairs_of_lines_summing_to", lambda *args: 1000)
+    lat = _lat(kind, n)
+    lines = enumerate_lines(lat).as_set()
+    rulings = enumerate_rulings(lat).as_set()
+    shift = anticanonical_shift(lat)
+    extra = set()
+    if kind == "E" and n >= 7:
+        extra = {shift} if n == 7 else {shift, shift * 2}
+    summands = sorted(enumerate_roots(lat).as_set() | lines | extra)
+    candidates = set(summands) | rulings
+    for i, a in enumerate(summands):
+        candidates.update(a + b for b in summands[i:])
+    if kind == "E":
+        assert {d for d in candidates if _accepts(section_dim, lat, d)} == lines | rulings | extra
+    assert {d for d in candidates if _accepts(relation_census, lat, d)} == rulings | extra
+
+
+def test_support_test_checks_orthogonality_first():
+    e6 = _lat("E", 6)
+    # h - l7 has the ruling numbers (D.D, D.K) = (0, -2) but meets C = l7.
+    target = basis_class(e6, "h") - basis_class(e6, "l7")
+    assert (pair(e6, target, target), pair(e6, target, e6.K)) == KINDS["rulings"]
+    for fn in (section_dim, relation_census):
+        with pytest.raises(ValueError, match="orthogonal to C"):
+            fn(e6, target)
+        with pytest.raises(ValueError, match="unsupported"):
+            fn(e6, basis_class(e6, "l1") * 2)
 
 
 def test_torus_character_invariant_class():

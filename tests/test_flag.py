@@ -10,7 +10,6 @@ from adecox import (
     QuadricVariable,
     SurfaceConfigD,
     SurfaceFamily,
-    an_report,
     appendix_tensor_check,
     build_lattice,
     cone_quadric_D,
@@ -89,23 +88,6 @@ def test_embed_with_generic_points_still_certifies():
     _, report = embed_cox_into_cone_D(lat, config)
     assert report["certified"]
     assert report["rank_before"] == report["rank_after"] == 2
-
-
-def test_an_report_free_polynomial_growth():
-    report = an_report(_lat("A", 2))
-    assert report["generators"] == 3
-    assert report["relations"] == 0
-    assert report["dims_by_degree"] == [1, 3, 6, 10, 15, 21, 28]
-    assert report["weights_distinct"]
-    assert report["ok"]
-
-    small = an_report(_lat("A", 1), max_degree=4)
-    assert small["dims_by_degree"] == [1, 2, 3, 4, 5]
-
-
-def test_an_report_rejects_other_families():
-    with pytest.raises(ValueError):
-        an_report(_lat("D", 3))
 
 
 def test_appendix_check_e3():
