@@ -5,6 +5,12 @@ named identity and reports the integers compared, ``quadrics`` emits the
 explicit polynomial systems for the D family and the two rank-drop cases,
 and ``selftest`` runs the full check registry.
 
+``verify --which X`` prints the entries of the per-surface check
+``selftest.SURFACE_CHECKS[X]``, the same function the selftest sweeps call.
+Only ``hilbert`` and ``git`` take ``--points`` and ``--max-degree``; the
+other checks refuse both.  ``git`` with points computes the ray dimensions
+by exact rank on the presentation.
+
 Output is deterministic: JSON is serialized with sorted keys, rationals are
 rendered as ``p/q`` strings, and divisor classes as integer arrays in the
 fixed basis order.  CSV is available only for the flat tables (enumeration
@@ -21,20 +27,11 @@ import json
 import sys
 from fractions import Fraction
 
-from .cox import (
-    SurfaceConfigD,
-    cox_presentation,
-    dn_ideal,
-    git_hilbert,
-    relation_census,
-    verify_hilbert,
-)
-from .curves import ENUMERATORS, enumerate_lines, enumerate_rulings
+from .cox import SurfaceConfigD, dn_ideal
+from .curves import ENUMERATORS
 from .flag import QuadricSystem, appendix_tensor_check, cone_quadric_D, embed_cox_into_cone_D
-from .lattice import DivisorClass, IntersectionLattice, SurfaceFamily, basis_class, build_lattice
-from .roots import build_root_system, weyl_orbit
-from .selftest import _census_predictions, run_selftest
-from .weights import decompose_sym2, line_highest_class, verify_weight_lemma
+from .lattice import IntersectionLattice, SurfaceFamily, build_lattice
+from .selftest import SURFACE_CHECKS, run_selftest
 
 
 def _build_lattice_from(args) -> IntersectionLattice:
@@ -81,8 +78,15 @@ def _system_doc(system: QuadricSystem) -> dict:
     return doc
 
 
-def _emit(doc: dict, args, csv_rows=None) -> None:
+def _emit(args, lattice: IntersectionLattice, results: list[dict], csv_rows=None) -> None:
+    """Write the ``{command, family, n, results}`` document, or ``csv_rows``."""
     if args.format == "json":
+        doc = {
+            "command": args.command,
+            "family": lattice.family.kind,
+            "n": lattice.family.n,
+            "results": results,
+        }
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
         if csv_rows is None:
@@ -105,138 +109,31 @@ def _emit(doc: dict, args, csv_rows=None) -> None:
 def cmd_enumerate(args) -> int:
     lattice = _build_lattice_from(args)
     classes = ENUMERATORS[args.what](lattice)
-    doc = {
-        "command": "enumerate",
-        "family": lattice.family.kind,
-        "n": lattice.family.n,
-        "results": [
-            {
-                "kind": args.what,
-                "count": len(classes),
-                "basis": list(lattice.basis_labels),
-                "classes": [list(c.coords) for c in classes],
-            }
-        ],
+    result = {
+        "kind": args.what,
+        "count": len(classes),
+        "basis": list(lattice.basis_labels),
+        "classes": [list(c.coords) for c in classes],
     }
     csv_rows = [list(lattice.basis_labels)] + [list(c.coords) for c in classes]
-    _emit(doc, args, csv_rows=csv_rows)
+    _emit(args, lattice, [result], csv_rows=csv_rows)
     return 0
-
-
-def _verify_sym2(lattice: IntersectionLattice) -> list[dict]:
-    system = build_root_system(lattice)
-    _, _, report = decompose_sym2(system)
-    ok = (
-        report["w_matches_expected"]
-        and report["sym2_total"] == report["v_total"] + report["w_total"]
-    )
-    entry = dict(report)
-    entry["check"] = "sym2-decomposition"
-    entry["pass"] = ok
-    return [entry]
-
-
-def _verify_weights(lattice: IntersectionLattice) -> list[dict]:
-    system = build_root_system(lattice)
-    orbit = weyl_orbit(system, line_highest_class(lattice))
-    orbit_ok = orbit.as_set() == enumerate_lines(lattice).as_set()
-    report = verify_weight_lemma(system)
-    entry = dict(report)
-    entry["check"] = "line-and-ruling-modules"
-    entry["line_orbit_matches"] = orbit_ok
-    entry["pass"] = bool(report["ok"] and orbit_ok)
-    return [entry]
-
-
-def _verify_hilbert(lattice: IntersectionLattice, args) -> list[dict]:
-    presentation = cox_presentation(lattice, _config_from(args))
-    report = verify_hilbert(presentation, lattice, args.max_degree)
-    entry = dict(report)
-    entry["check"] = "graded-vs-section-dimensions"
-    entry["pass"] = report["ok"]
-    return [entry]
-
-
-def _census_entry(lattice: IntersectionLattice, check: str, target: DivisorClass) -> dict:
-    census = relation_census(lattice, target)
-    return {
-        "check": check,
-        "target": list(target.coords),
-        "monomials": census.monomials,
-        "sections": census.sections,
-        "relations": census.relations,
-    }
-
-
-def _verify_census(lattice: IntersectionLattice) -> list[dict]:
-    per_ruling, expected_total, classes = _census_predictions(lattice)
-    entries: list[dict] = []
-    if per_ruling is not None:
-        for ruling in enumerate_rulings(lattice):
-            entry = _census_entry(lattice, "ruling-census", ruling)
-            entry["expected_relations"] = per_ruling
-            entry["pass"] = entry["relations"] == per_ruling
-            entries.append(entry)
-        total = sum(entry["relations"] for entry in entries)
-        entries.append(
-            {
-                "check": "ruling-census-total",
-                "relations_total": total,
-                "expected_total": expected_total,
-                "pass": total == expected_total,
-            }
-        )
-    for check, target, expected in classes:
-        entry = _census_entry(lattice, check, target)
-        entry["expected"] = list(expected)
-        entry["pass"] = (entry["monomials"], entry["sections"], entry["relations"]) == expected
-        entries.append(entry)
-    return entries
-
-
-def _verify_git(lattice: IntersectionLattice, args) -> tuple[list[dict], list[list]]:
-    fam = lattice.family
-    max_k = args.max_degree
-    if fam.kind == "D":
-        ray = basis_class(lattice, "f")
-        expected = list(range(1, max_k + 2))
-    elif fam.kind == "A":
-        ray = basis_class(lattice, "l1")
-        expected = [1] * (max_k + 1)
-    else:
-        raise ValueError("git verification covers the A and D families")
-    dims = git_hilbert(lattice, ray, max_k)
-    entry = {
-        "check": "invariant-ray-dimensions",
-        "ray": list(ray.coords),
-        "dims": dims,
-        "expected": expected,
-        "pass": dims == expected,
-    }
-    csv_rows = [["k", "dim"]] + [[k, dim] for k, dim in enumerate(dims)]
-    return [entry], csv_rows
 
 
 def cmd_verify(args) -> int:
     lattice = _build_lattice_from(args)
-    csv_rows = None
-    if args.which == "sym2":
-        entries = _verify_sym2(lattice)
-    elif args.which == "weights":
-        entries = _verify_weights(lattice)
-    elif args.which == "hilbert":
-        entries = _verify_hilbert(lattice, args)
-    elif args.which == "census":
-        entries = _verify_census(lattice)
+    check = SURFACE_CHECKS[args.which]
+    if args.which in ("hilbert", "git"):
+        max_degree = 4 if args.max_degree is None else args.max_degree
+        entries = check(lattice, _config_from(args), max_degree)
+    elif args.points is not None or args.max_degree is not None:
+        raise ValueError(f"verify --which {args.which} takes neither --points nor --max-degree")
     else:
-        entries, csv_rows = _verify_git(lattice, args)
-    doc = {
-        "command": "verify",
-        "family": lattice.family.kind,
-        "n": lattice.family.n,
-        "results": entries,
-    }
-    _emit(doc, args, csv_rows=csv_rows)
+        entries = check(lattice)
+    csv_rows = None
+    if args.which == "git":
+        csv_rows = [["k", "dim"]] + [[k, dim] for k, dim in enumerate(entries[0]["dims"])]
+    _emit(args, lattice, entries, csv_rows=csv_rows)
     return 0 if all(entry["pass"] for entry in entries) else 1
 
 
@@ -250,13 +147,7 @@ def cmd_quadrics(args) -> int:
         result["pass"] = report["ok"]
         if segre is not None:
             result["segre"] = _system_doc(segre)
-        doc = {
-            "command": "quadrics",
-            "family": fam.kind,
-            "n": fam.n,
-            "results": [result],
-        }
-        _emit(doc, args)
+        _emit(args, lattice, [result])
         return 0 if report["ok"] else 1
     if fam.kind != "D" or fam.n < 3:
         raise ValueError(
@@ -285,24 +176,17 @@ def cmd_quadrics(args) -> int:
         }
         for rel in presentation.relations
     ]
-    doc = {
-        "command": "quadrics",
-        "family": fam.kind,
-        "n": fam.n,
-        "results": [
-            {
-                "check": "surface-ideal-and-cone",
-                "points": [str(t) for t in config.points],
-                "generators": generators,
-                "relations": relations,
-                "cone": _system_doc(cone),
-                "embedding": _system_doc(embedded),
-                "certificate": report,
-                "pass": report["certified"],
-            }
-        ],
+    result = {
+        "check": "surface-ideal-and-cone",
+        "points": [str(t) for t in config.points],
+        "generators": generators,
+        "relations": relations,
+        "cone": _system_doc(cone),
+        "embedding": _system_doc(embedded),
+        "certificate": report,
+        "pass": report["certified"],
     }
-    _emit(doc, args)
+    _emit(args, lattice, [result])
     return 0 if report["certified"] else 1
 
 
@@ -350,20 +234,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--family", required=True, choices=("A", "D", "E"))
     p_verify.add_argument("--n", required=True, type=int)
+    p_verify.add_argument("--which", required=True, choices=tuple(SURFACE_CHECKS))
     p_verify.add_argument(
-        "--which",
-        required=True,
-        choices=("sym2", "weights", "hilbert", "census", "git"),
-    )
-    p_verify.add_argument(
-        "--points", default=None, help="comma separated rationals, e.g. 0,1,2"
+        "--points", default=None, help="comma separated rationals, e.g. 0,1,2 (hilbert, git)"
     )
     p_verify.add_argument(
         "--max-degree",
         type=int,
-        default=4,
+        default=None,
         dest="max_degree",
-        help="degree cap for hilbert, ray length for git",
+        help="degree cap for hilbert, ray length for git (default 4)",
     )
     p_verify.set_defaults(handler=cmd_verify)
 

@@ -473,6 +473,8 @@ def verify_hilbert(
     with both numbers and the list of mismatches (empty on success).  All
     monomials come from one table per call, which ``MONOMIAL_CAP`` bounds.
     """
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
     if lattice != presentation.lattice:
         raise ValueError("lattice does not match the presentation")
     levels = _monomial_table(presentation, max_degree)

@@ -19,8 +19,9 @@ Kinds and their defining equations (``.`` is the intersection pairing):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
+from operator import sub
 
 from .lattice import CACHE_MAXSIZE, DivisorClass, IntersectionLattice
 
@@ -45,6 +46,11 @@ class ClassSet:
 
     def as_set(self) -> frozenset[DivisorClass]:
         return frozenset(self.classes)
+
+    @cached_property
+    def coord_set(self) -> frozenset[tuple[int, ...]]:
+        """The coordinate tuples of the classes, built on first use."""
+        return frozenset(c.coords for c in self.classes)
 
 
 def _two_square_pairs(s: int, q: int) -> list[tuple[int, int]]:
@@ -169,11 +175,14 @@ def pairs_of_lines_summing_to(
 
     A line counts with itself only when 2l = target.
     """
-    line_set = lines.as_set()
-    doubles = sum(1 for l in line_set if l + l == target)
-    halves = sum(
-        1 for l in line_set if (target - l) in line_set and (target - l) != l
-    )
+    coord_set = lines.coord_set
+    doubles = halves = 0
+    for line in coord_set:
+        rest = tuple(map(sub, target.coords, line))
+        if rest == line:
+            doubles += 1
+        elif rest in coord_set:
+            halves += 1
     if halves % 2:
         raise AssertionError("line pairs summing to the target are not symmetric")
     return halves // 2 + doubles

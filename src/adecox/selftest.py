@@ -6,6 +6,14 @@ plus a short detail string; the runner prints one row per check and exits
 nonzero if anything failed.  Everything is deterministic: fixed sweeps,
 fixed fiber positions, and a fixed seed for the randomized reflection
 property.
+
+The paper's per-surface identities (the sym2 splitting, the line and ruling
+modules, the Hilbert functions, the quadric census and the invariant rays)
+each have one check function in ``SURFACE_CHECKS``, next to the tables of
+predicted invariants.  ``verify --which`` prints the entries such a function
+returns; C2-C5 and C7 run the same functions over their sweeps and turn
+each failing entry into a detail naming the surface, the check and the
+numbers compared.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from .cox import (
     SurfaceConfigD,
     anticanonical_shift,
     cox_generators,
+    cox_presentation,
     dn_ideal,
     git_hilbert,
     graded_piece_dim,
@@ -57,6 +66,17 @@ E_SWEEP = tuple(range(3, 9))
 D_SWEEP = tuple(range(2, 7))
 A_SWEEP = tuple(range(1, 6))
 
+# Predicted totals of sym2(line weights), of the top module and of its
+# complement on (E, n); the D and A families follow closed forms.
+_E_SYM2 = {
+    3: (21, 18, 3),
+    4: (55, 50, 5),
+    5: (136, 126, 10),
+    6: (378, 351, 27),
+    7: (1596, 1463, 133),
+    8: (30876, 27000, 3876),
+}
+
 # Predicted quadric counts on (E, n), as established by Batyrev-Popov: the
 # relations on each ruling and their total over the rulings (None where the
 # rulings are not counted), then per counted class ``k(-K + C)`` the check
@@ -71,25 +91,163 @@ _E_CENSUS = {
 }
 
 
-def _census_predictions(lattice: IntersectionLattice):
-    """``(per ruling, total, classes)`` predicted for the relation census.
+def _sym2_predictions(lattice: IntersectionLattice) -> tuple[int, int, int]:
+    """``(sym2, top module, complement)`` totals predicted for the line weights.
 
-    ``classes`` lists ``(check name, target class, (monomials, sections,
-    relations))``.  The D family's one ruling ``f`` carries n monomials, 2
-    sections and n - 2 relations.
+    The D family's 2n lines leave one zero weight outside the top module,
+    the A family's n + 1 lines leave nothing.
+    """
+    fam = lattice.family
+    n = fam.n
+    if fam.kind == "E":
+        return _E_SYM2[n]
+    if fam.kind == "D":
+        return n * (2 * n + 1), 2 * n * n + n - 1, 1
+    t = (n + 1) * (n + 2) // 2
+    return t, t, 0
+
+
+# The per-surface checks of ``SURFACE_CHECKS``: each returns the entries
+# ``verify --which`` prints, every one with its ``check`` name and ``pass``.
+
+
+def _sym2_entries(lattice: IntersectionLattice) -> list[dict]:
+    _, _, report = decompose_sym2(build_root_system(lattice))
+    totals = (report["sym2_total"], report["v_total"], report["w_total"])
+    entry = dict(report, check="sym2-decomposition")
+    entry["pass"] = report["w_matches_expected"] and totals == _sym2_predictions(lattice)
+    return [entry]
+
+
+def _weights_entries(lattice: IntersectionLattice) -> list[dict]:
+    system = build_root_system(lattice)
+    orbit = weyl_orbit(system, line_highest_class(lattice))
+    report = verify_weight_lemma(system)
+    entry = dict(report, check="line-and-ruling-modules")
+    entry["line_orbit_matches"] = orbit.as_set() == enumerate_lines(lattice).as_set()
+    entry["pass"] = report["ok"] and entry["line_orbit_matches"]
+    return [entry]
+
+
+def _hilbert_entries(
+    lattice: IntersectionLattice, config: SurfaceConfigD | None, max_degree: int
+) -> list[dict]:
+    report = verify_hilbert(cox_presentation(lattice, config), lattice, max_degree)
+    entry = dict(report, check="graded-vs-section-dimensions")
+    entry["pass"] = report["ok"]
+    return [entry]
+
+
+def _census_entries(lattice: IntersectionLattice) -> list[dict]:
+    """One entry per ruling and its total where counted, then one per class.
+
+    The D family's one ruling ``f`` carries n monomials, 2 sections and
+    n - 2 relations.
     """
     fam = lattice.family
     if fam.kind == "D":
-        return None, None, (("ruling-census", basis_class(lattice, "f"), (fam.n, 2, fam.n - 2)),)
-    if fam.kind != "E" or fam.n < 4:
+        per_ruling, expected_total = None, None
+        classes = (("ruling-census", basis_class(lattice, "f"), (fam.n, 2, fam.n - 2)),)
+    elif fam.kind == "E" and fam.n >= 4:
+        per_ruling, expected_total, multiples = _E_CENSUS[fam.n]
+        shift = anticanonical_shift(lattice)
+        classes = tuple((check, shift * k, want) for check, k, want in multiples)
+    else:
         raise ValueError("census verification covers the D family and E families with n >= 4")
-    per_ruling, total, classes = _E_CENSUS[fam.n]
-    shift = anticanonical_shift(lattice)
-    return per_ruling, total, tuple((check, shift * k, want) for check, k, want in classes)
+
+    def counted(check: str, target: DivisorClass) -> dict:
+        census = relation_census(lattice, target)
+        return {
+            "check": check,
+            "target": list(target.coords),
+            "monomials": census.monomials,
+            "sections": census.sections,
+            "relations": census.relations,
+        }
+
+    entries: list[dict] = []
+    if per_ruling is not None:
+        for ruling in enumerate_rulings(lattice):
+            entry = counted("ruling-census", ruling)
+            entry["expected_relations"] = per_ruling
+            entry["pass"] = entry["relations"] == per_ruling
+            entries.append(entry)
+        total = sum(entry["relations"] for entry in entries)
+        entries.append(
+            {
+                "check": "ruling-census-total",
+                "relations_total": total,
+                "expected_total": expected_total,
+                "pass": total == expected_total,
+            }
+        )
+    for check, target, expected in classes:
+        entry = counted(check, target)
+        entry["expected"] = list(expected)
+        entry["pass"] = (entry["monomials"], entry["sections"], entry["relations"]) == expected
+        entries.append(entry)
+    return entries
+
+
+def _git_entries(
+    lattice: IntersectionLattice, config: SurfaceConfigD | None, max_degree: int
+) -> list[dict]:
+    """Invariant dimensions along ``f`` (D) or ``l1`` (A), by exact rank on
+    the presentation when fiber positions are given, else by section count."""
+    fam = lattice.family
+    if fam.kind == "D":
+        ray, expected = basis_class(lattice, "f"), list(range(1, max_degree + 2))
+    elif fam.kind == "A":
+        ray, expected = basis_class(lattice, "l1"), [1] * (max_degree + 1)
+    else:
+        raise ValueError("git verification covers the A and D families")
+    presentation = None if config is None else cox_presentation(lattice, config)
+    dims = git_hilbert(lattice, ray, max_degree, presentation)
+    return [
+        {
+            "check": "invariant-ray-dimensions",
+            "ray": list(ray.coords),
+            "dims": dims,
+            "expected": expected,
+            "pass": dims == expected,
+        }
+    ]
+
+
+# Keyed by ``verify --which``; hilbert and git also take fiber positions (or
+# None) and a degree bound.
+SURFACE_CHECKS = {
+    "sym2": _sym2_entries,
+    "weights": _weights_entries,
+    "hilbert": _hilbert_entries,
+    "census": _census_entries,
+    "git": _git_entries,
+}
+
+
+def _failures(lattice: IntersectionLattice, entries: list[dict]) -> list[str]:
+    """One detail string per failing entry: the surface, the check and the
+    fields it compared (the full class list of a Hilbert entry is left out)."""
+    label = f"({lattice.family.kind},{lattice.family.n})"
+    return [
+        f"{label} {entry['check']}: "
+        + ", ".join(
+            f"{key} {value}"
+            for key, value in sorted(entry.items())
+            if key not in ("check", "pass", "family", "classes")
+        )
+        for entry in entries
+        if not entry["pass"]
+    ]
 
 
 def _lat(kind: str, n: int) -> IntersectionLattice:
     return build_lattice(SurfaceFamily(kind, n))
+
+
+def _sweep_lattices() -> list[IntersectionLattice]:
+    sweeps = (("E", E_SWEEP), ("D", D_SWEEP), ("A", A_SWEEP))
+    return [_lat(kind, n) for kind, sweep in sweeps for n in sweep]
 
 
 def _naive_classes(lattice: IntersectionLattice, kind: str) -> frozenset[DivisorClass]:
@@ -168,45 +326,18 @@ def _check_enumeration_counts() -> tuple[bool, str]:
 
 
 def _check_sym2_decomposition() -> tuple[bool, str]:
-    expected = {
-        ("E", 3): (21, 18, 3),
-        ("E", 4): (55, 50, 5),
-        ("E", 5): (136, 126, 10),
-        ("E", 6): (378, 351, 27),
-        ("E", 7): (1596, 1463, 133),
-        ("E", 8): (30876, 27000, 3876),
-    }
-    for n in D_SWEEP:
-        expected[("D", n)] = (n * (2 * n + 1), 2 * n * n + n - 1, 1)
-    for n in A_SWEEP:
-        t = (n + 1) * (n + 2) // 2
-        expected[("A", n)] = (t, t, 0)
-    problems = []
-    for (kind, n), want in expected.items():
-        system = build_root_system(_lat(kind, n))
-        _, _, report = decompose_sym2(system)
-        got = (report["sym2_total"], report["v_total"], report["w_total"])
-        if got != want:
-            problems.append(f"({kind},{n}) totals {got} != {want}")
-        if not report["w_matches_expected"]:
-            problems.append(f"({kind},{n}) complement differs from the predicted module")
+    problems = [
+        f"{problem}; predicted totals {_sym2_predictions(lat)}"
+        for lat in _sweep_lattices()
+        for problem in _failures(lat, _sym2_entries(lat))
+    ]
     if problems:
         return False, "; ".join(problems)
     return True, "symmetric squares split as predicted for all families, up to (E,8) with 30876 = 27000 + 3876"
 
 
 def _check_weight_lemma() -> tuple[bool, str]:
-    problems = []
-    for kind, sweep in (("E", E_SWEEP), ("D", D_SWEEP), ("A", A_SWEEP)):
-        for n in sweep:
-            lat = _lat(kind, n)
-            system = build_root_system(lat)
-            orbit = weyl_orbit(system, line_highest_class(lat))
-            if orbit.as_set() != enumerate_lines(lat).as_set():
-                problems.append(f"({kind},{n}) line orbit differs from enumeration")
-            report = verify_weight_lemma(system)
-            if not report["ok"]:
-                problems.append(f"({kind},{n}) weight lemma report failed")
+    problems = [p for lat in _sweep_lattices() for p in _failures(lat, _weights_entries(lat))]
     if problems:
         return False, "; ".join(problems)
     return True, "line orbits match enumeration; line/ruling modules identified for all E cases"
@@ -224,11 +355,7 @@ def _check_dn_cox() -> tuple[bool, str]:
             problems.append(f"(D,{n}) relation count != {n - 2}")
         if any(c == 0 for rel in pres.relations for c, _ in rel.terms):
             problems.append(f"(D,{n}) zero relation coefficient")
-        report = verify_hilbert(pres, lat, 6)
-        if not report["ok"]:
-            problems.append(
-                f"(D,{n}) hilbert mismatches: {len(report['mismatches'])}"
-            )
+        problems += _failures(lat, _hilbert_entries(lat, config, 6))
         f = basis_class(lat, "f")
         for a0 in range(4):  # a0*f has degree 2*a0 and a0 + 1 sections
             got = graded_piece_dim(pres, lat, f * a0)
@@ -240,21 +367,8 @@ def _check_dn_cox() -> tuple[bool, str]:
 
 
 def _check_census() -> tuple[bool, str]:
-    problems = []
     lattices = [_lat("E", n) for n in sorted(_E_CENSUS)] + [_lat("D", n) for n in (3, 4, 5)]
-    for lat in lattices:
-        label = f"({lat.family.kind},{lat.family.n})"
-        per_ruling, total, classes = _census_predictions(lat)
-        if per_ruling is not None:
-            counts = [relation_census(lat, r).relations for r in enumerate_rulings(lat)]
-            if any(c != per_ruling for c in counts):
-                problems.append(f"{label} per-ruling relations != {per_ruling}")
-            if sum(counts) != total:
-                problems.append(f"{label} total relations {sum(counts)} != {total}")
-        for _, target, want in classes:
-            c = relation_census(lat, target)
-            if (c.monomials, c.sections, c.relations) != want:
-                problems.append(f"{label} census at {target} {c} != {want}")
+    problems = [p for lat in lattices for p in _failures(lat, _census_entries(lat))]
     if problems:
         return False, "; ".join(problems)
     return True, "quadric counts per class: 1/2/3/4 per ruling for E4..E7, (28,3,25) at E7, (123,4,119) at E8"
@@ -298,19 +412,12 @@ def _check_torus_git() -> tuple[bool, str]:
             if len(chars) != 1:
                 problems.append(f"(D,{n}) relation monomials carry different characters")
         cone_quadric_D(lat)  # constructor asserts weight homogeneity
-    d4 = _lat("D", 4)
-    if git_hilbert(d4, basis_class(d4, "f"), 5) != [1, 2, 3, 4, 5, 6]:
-        problems.append("(D,4) invariant dims along f differ from 1..6")
+    d3, d4, a3 = _lat("D", 3), _lat("D", 4), _lat("A", 3)
+    config3 = SurfaceConfigD((Fraction(0), Fraction(1), Fraction(2)))
+    for lat, config, max_k in ((d4, None, 5), (d3, None, 5), (d3, config3, 5), (a3, None, 4)):
+        problems += _failures(lat, _git_entries(lat, config, max_k))
     if git_hilbert(d4, basis_class(d4, "s"), 5) != [1, 2, 3, 4, 5, 6]:
         problems.append("(D,4) s alias for the f ray failed")
-    d3 = _lat("D", 3)
-    pres3 = dn_ideal(d3, SurfaceConfigD((Fraction(0), Fraction(1), Fraction(2))))
-    f3 = basis_class(d3, "f")
-    if git_hilbert(d3, f3, 5) != git_hilbert(d3, f3, 5, presentation=pres3):
-        problems.append("(D,3) section count and rank computation disagree on the f ray")
-    a3 = _lat("A", 3)
-    if git_hilbert(a3, basis_class(a3, "l1"), 4) != [1, 1, 1, 1, 1]:
-        problems.append("(A,3) invariant dims along l1 are not all ones")
     try:
         e6 = _lat("E", 6)
         git_hilbert(e6, basis_class(e6, "l1"), 2)
@@ -376,13 +483,11 @@ def _check_oracles() -> tuple[bool, str]:
     if classify_type(build_root_system(_lat("A", 3))) != "A3":
         problems.append("(A,3) does not classify as A3")
     pools = []
-    for kind, sweep in (("E", E_SWEEP), ("D", D_SWEEP), ("A", A_SWEEP)):
-        for n in sweep:
-            lat = _lat(kind, n)
-            system = build_root_system(lat)
-            if not is_weyl_invariant(system, line_weight_multiset(system)):
-                problems.append(f"({kind},{n}) line module not reflection invariant")
-            pools.append((lat, enumerate_roots(lat).classes))
+    for lat in _sweep_lattices():
+        system = build_root_system(lat)
+        if not is_weyl_invariant(system, line_weight_multiset(system)):
+            problems.append(f"({lat.family.kind},{lat.family.n}) line module not reflection invariant")
+        pools.append((lat, enumerate_roots(lat).classes))
     rng = random.Random(0)
     for _ in range(10_000):
         lat, roots = pools[rng.randrange(len(pools))]

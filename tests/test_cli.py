@@ -1,6 +1,7 @@
 """End to end coverage of the command line interface."""
 
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -117,6 +118,26 @@ def test_verify_hilbert_rejects_e_family(capsys):
 )
 def test_verify_hilbert_refuses_what_has_no_presentation(capsys, argv):
     code, out, err = run_cli(capsys, ["verify", "--which", "hilbert"] + argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--which", "git", "--family", "D", "--n", "3", "--points", "0,1"],
+        ["--which", "git", "--family", "A", "--n", "2", "--points", "0,1,2"],
+        ["--which", "sym2", "--family", "D", "--n", "4", "--points", "0,1"],
+        ["--which", "weights", "--family", "D", "--n", "4", "--points", "0,1,2,3"],
+        ["--which", "census", "--family", "D", "--n", "4", "--points", "0,1,2,3"],
+        ["--which", "sym2", "--family", "A", "--n", "2", "--max-degree", "-5"],
+        ["--which", "census", "--family", "D", "--n", "3", "--max-degree", "3"],
+        ["--which", "hilbert", "--family", "A", "--n", "3", "--max-degree", "-1"],
+    ],
+)
+def test_verify_refuses_points_and_degrees_it_does_not_use(capsys, argv):
+    code, out, err = run_cli(capsys, ["verify"] + argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
@@ -250,6 +271,17 @@ def test_selftest_stdout_matches_golden_file():
             ["--which", "hilbert", "--family", "D", "--n", "4", "--points", "0,1,2,3",
              "--max-degree", "3"],
         ),
+    ]
+    + [
+        (f"{which}_{kind}{n}.json", ["--which", which, "--family", kind, "--n", str(n)])
+        for which, surfaces in (("sym2", ("E5", "E8", "D4", "A3")), ("weights", ("E7", "E8", "D4", "A3")))
+        for kind, n in ((s[0], int(s[1:])) for s in surfaces)
+    ]
+    + [
+        ("git_D3.json", ["--which", "git", "--family", "D", "--n", "3", "--points", "0,1,2"]),
+        ("git_D3.csv", ["--which", "git", "--family", "D", "--n", "3", "--points", "0,1,2", "--format", "csv"]),
+        ("git_D4.json", ["--which", "git", "--family", "D", "--n", "4"]),
+        ("git_A2.json", ["--which", "git", "--family", "A", "--n", "2", "--max-degree", "3"]),
     ],
 )
 def test_verify_stdout_matches_golden_file(capsys, name, argv):
@@ -286,8 +318,6 @@ def test_selftest_reports_failures_with_exit_1(capsys, monkeypatch):
 
 
 def test_verify_detects_injected_mismatch(capsys, monkeypatch):
-    import adecox.cli as cli_module
-
     def fake_decompose(_system):
         report = {
             "family": "E5",
@@ -300,10 +330,51 @@ def test_verify_detects_injected_mismatch(capsys, monkeypatch):
         }
         return None, None, report
 
-    monkeypatch.setattr(cli_module, "decompose_sym2", fake_decompose)
+    monkeypatch.setattr(selftest_module, "decompose_sym2", fake_decompose)
     code, out, _ = run_cli(capsys, ["verify", "--which", "sym2", "--family", "E", "--n", "5"])
     assert code == 1
     assert not json.loads(out)["results"][0]["pass"]
+
+
+@pytest.mark.parametrize(
+    "table, key, wrong, argv, check_id, compared",
+    [
+        ("_E_SYM2", 5, (136, 126, 11), ["--which", "sym2", "--family", "E", "--n", "5"], "C2",
+         "w_total 10; predicted totals (136, 126, 11)"),
+        ("_E_CENSUS", 6, (3, 80, ()), ["--which", "census", "--family", "E", "--n", "6"], "C5",
+         "ruling-census-total: expected_total 80, relations_total 81"),
+    ],
+)
+def test_one_wrong_prediction_fails_verify_and_selftest(
+    capsys, monkeypatch, table, key, wrong, argv, check_id, compared
+):
+    monkeypatch.setitem(getattr(selftest_module, table), key, wrong)
+    code, out, _ = run_cli(capsys, ["verify"] + argv)
+    assert code == 1
+    assert not all(entry["pass"] for entry in json.loads(out)["results"])
+    check = next(c for c in selftest_module.CHECKS if c.check_id == check_id)
+    result = check.run()
+    assert not result.passed
+    assert result.details.startswith(f"(E,{key}) ")
+    assert compared in result.details
+
+
+def _readme_commands():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("```sh\n")[1:]
+    lines = [line for block in blocks for line in block.split("```")[0].splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.split()[:1] == ["adecox"]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for argv in _readme_commands() if argv[0] in ("enumerate", "verify", "quadrics")],
+    ids=" ".join,
+)
+def test_readme_examples_run(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    assert out
 
 
 def test_corrupted_lattice_is_rejected():

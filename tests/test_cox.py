@@ -30,7 +30,6 @@ from adecox import (
     torus_character,
     verify_hilbert,
 )
-from adecox import cox as cox_module
 from adecox.cox import MONOMIAL_CAP, _class_monomials, _monomial_table
 from adecox.curves import KINDS
 from adecox.lattice import pair
@@ -258,6 +257,12 @@ def test_verify_hilbert_a4():
     assert report["mismatches"] == []
 
 
+def test_verify_hilbert_refuses_a_negative_degree():
+    lat = _lat("A", 4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify_hilbert(cox_presentation(lat), lat, -1)
+
+
 CENSUS_CASES = [
     ("E", 4, "ruling", (3, 2, 1)),
     ("E", 5, "ruling", (4, 2, 2)),
@@ -305,12 +310,9 @@ def _accepts(fn, lat, d):
     "kind,n",
     [("E", n) for n in range(3, 9)] + [("D", n) for n in range(2, 10)] + [("A", n) for n in range(1, 9)],
 )
-def test_supported_classes_are_lines_rulings_and_the_shift_list(kind, n, monkeypatch):
+def test_supported_classes_are_lines_rulings_and_the_shift_list(kind, n):
     """Candidates: every enumerated class and the pairwise sums of the roots,
-    lines and shift classes (E8's 2160 rulings are not summed in pairs).
-    The census line-pair count plays no part in what is accepted, so it is
-    stubbed to keep E8's rulings cheap."""
-    monkeypatch.setattr(cox_module, "pairs_of_lines_summing_to", lambda *args: 1000)
+    lines and shift classes (E8's 2160 rulings are not summed in pairs)."""
     lat = _lat(kind, n)
     lines = enumerate_lines(lat).as_set()
     rulings = enumerate_rulings(lat).as_set()

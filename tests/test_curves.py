@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from collections import Counter
 from itertools import product
 from math import isqrt
 
@@ -112,6 +113,16 @@ def test_pairs_of_lines_for_large_targets():
     lat8 = build_lattice(SurfaceFamily("E", 8))
     target8 = (lat8.C - lat8.K) * 2
     assert pairs_of_lines_summing_to(lat8, target8, enumerate_lines(lat8)) == 120
+
+
+@pytest.mark.parametrize("kind,n", [("E", 6), ("E", 7), ("D", 5), ("A", 3)])
+def test_pairs_of_lines_matches_counting_every_pair(kind, n):
+    """Targets: every ruling, every line and every sum of two lines."""
+    lat = build_lattice(SurfaceFamily(kind, n))
+    lines = enumerate_lines(lat).classes
+    sums = Counter(a + b for i, a in enumerate(lines) for b in lines[i:])
+    for target in set(sums) | set(lines) | enumerate_rulings(lat).as_set():
+        assert pairs_of_lines_summing_to(lat, target, enumerate_lines(lat)) == sums[target]
 
 
 def test_pairs_count_zero_when_no_decomposition():
