@@ -15,7 +15,8 @@ Output is deterministic: JSON is serialized with sorted keys, rationals are
 rendered as ``p/q`` strings, and divisor classes as integer arrays in the
 fixed basis order.  CSV is available only for the flat tables (enumeration
 and the invariant-ray dimensions).  Exit codes: 0 all checks pass, 1 a
-mathematical comparison failed, 2 invalid input.
+mathematical comparison failed, 2 invalid input or an ``--out`` file that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -78,6 +79,16 @@ def _system_doc(system: QuadricSystem) -> dict:
     return doc
 
 
+def _write_out(path: str, text: str) -> None:
+    """Write ``text`` to the ``--out`` file; a path that cannot be written is
+    invalid input."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(args, lattice: IntersectionLattice, results: list[dict], csv_rows=None) -> None:
     """Write the ``{command, family, n, results}`` document, or ``csv_rows``."""
     if args.format == "json":
@@ -100,8 +111,7 @@ def _emit(args, lattice: IntersectionLattice, results: list[dict], csv_rows=None
             writer.writerow(row)
         text = buffer.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_out(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -141,6 +151,8 @@ def cmd_quadrics(args) -> int:
     lattice = _build_lattice_from(args)
     fam = lattice.family
     if fam.is_appendix_case:
+        if args.points is not None:
+            raise ValueError(f"quadrics on {fam.label} takes no --points")
         report, segre = appendix_tensor_check(lattice)
         result = dict(report)
         result["check"] = "tensor-factorization"
@@ -196,10 +208,9 @@ def cmd_selftest(args) -> int:
     buffer = io.StringIO()
     code = run_selftest(buffer)
     text = buffer.getvalue()
-    sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_out(args.out, text)
+    sys.stdout.write(text)
     return code
 
 
@@ -217,23 +228,22 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format (csv only for flat tables)",
     )
     common.add_argument("--out", default=None, help="write output to this file")
+    surface = argparse.ArgumentParser(add_help=False)
+    surface.add_argument("--family", required=True, choices=("A", "D", "E"))
+    surface.add_argument("--n", required=True, type=int)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_enum = sub.add_parser(
-        "enumerate", parents=[common], help="list roots, lines or rulings"
+        "enumerate", parents=[common, surface], help="list roots, lines or rulings"
     )
-    p_enum.add_argument("--family", required=True, choices=("A", "D", "E"))
-    p_enum.add_argument("--n", required=True, type=int)
     p_enum.add_argument(
         "--what", required=True, choices=("roots", "lines", "rulings")
     )
     p_enum.set_defaults(handler=cmd_enumerate)
 
     p_verify = sub.add_parser(
-        "verify", parents=[common], help="rerun one verification and report it"
+        "verify", parents=[common, surface], help="rerun one verification and report it"
     )
-    p_verify.add_argument("--family", required=True, choices=("A", "D", "E"))
-    p_verify.add_argument("--n", required=True, type=int)
     p_verify.add_argument("--which", required=True, choices=tuple(SURFACE_CHECKS))
     p_verify.add_argument(
         "--points", default=None, help="comma separated rationals, e.g. 0,1,2 (hilbert, git)"
@@ -248,12 +258,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(handler=cmd_verify)
 
     p_quad = sub.add_parser(
-        "quadrics", parents=[common], help="emit ideals, cone quadrics, embeddings"
+        "quadrics", parents=[common, surface], help="emit ideals, cone quadrics, embeddings"
     )
-    p_quad.add_argument("--family", required=True, choices=("A", "D", "E"))
-    p_quad.add_argument("--n", required=True, type=int)
     p_quad.add_argument(
-        "--points", default=None, help="comma separated rationals, e.g. 0,1,2"
+        "--points", default=None, help="comma separated rationals, e.g. 0,1,2 (D with n >= 3)"
     )
     p_quad.set_defaults(handler=cmd_quadrics)
 

@@ -299,7 +299,7 @@ def _search_steps(vectors, rank: int):
 
 
 def _class_monomials(
-    presentation: CoxPresentation, target: tuple[int, ...], deg: int, cap: int
+    presentation: CoxPresentation, target: tuple[int, ...], deg: int
 ) -> list[tuple[int, ...]]:
     """Position tuples of the degree-``deg`` monomials of class ``target``.
 
@@ -311,7 +311,7 @@ def _class_monomials(
     coordinate stays reachable, ``(r - e)*lo <= rem_j - e*g <= (r - e)*hi``;
     each inequality is linear in ``e``, so the candidates form one
     interval.  The search goes on in place with the smallest candidate and
-    stacks the others.
+    stacks the others.  More than ``MONOMIAL_CAP`` monomials are refused.
     """
     free, steps = presentation._steps
     if deg < 0 or any(target[j] for j in free):
@@ -335,10 +335,10 @@ def _class_monomials(
                 if p == last:
                     if e == r:
                         out.append(mono + (p,) * r)
-                        if len(out) > cap:
+                        if len(out) > MONOMIAL_CAP:
                             raise ValueError(
-                                f"class {target} has more than {cap} monomials, "
-                                f"which exceeds the cap {cap}"
+                                f"class {target} has more than {MONOMIAL_CAP} monomials, "
+                                f"which exceeds the cap {MONOMIAL_CAP}"
                             )
                     break
             else:
@@ -440,24 +440,23 @@ def graded_piece_dim(
     presentation: CoxPresentation,
     lattice: IntersectionLattice,
     d: DivisorClass,
-    cap: int = MONOMIAL_CAP,
 ) -> int:
     """Dimension of the class-``d`` piece of the presented quotient ring.
 
     Counts the monomials of class ``d`` and subtracts the exact rank of the
     matrix whose rows are all products relation * monomial landing in that
     class.  Only monomials of class ``d`` and of the shift classes
-    ``d - rel.cls`` are listed; ``cap`` bounds each of those lists.
+    ``d - rel.cls`` are listed; ``MONOMIAL_CAP`` bounds each of those lists.
     """
     if lattice != presentation.lattice:
         raise ValueError("lattice does not match the presentation")
     coords = _orthogonal_coords(lattice, d)
     deg = sum(map(mul, coords, presentation._degree_covector))
-    monomials = _class_monomials(presentation, coords, deg, cap)
+    monomials = _class_monomials(presentation, coords, deg)
     if not monomials:
         return 0
     shift_lists = [
-        _class_monomials(presentation, tuple(map(sub, coords, cls)), deg - rdeg, cap)
+        _class_monomials(presentation, tuple(map(sub, coords, cls)), deg - rdeg)
         for cls, rdeg, _ in presentation._groups
     ]
     return _piece_dim(presentation, monomials, shift_lists)

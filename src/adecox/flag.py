@@ -15,7 +15,7 @@ at the level of weight multisets together with the 2x2 Segre quadric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cox import CoxPresentation, SurfaceConfigD, dn_ideal
@@ -156,20 +156,16 @@ def embed_cox_into_cone_D(
     certified = rank_before == rank_after == n - 2
 
     cone = cone_quadric_D(lattice)
-    system = build_root_system(lattice)
-    f = basis_class(lattice, "f")
-    cox_vars = []
+    # x_i and y_i carry the classes and weights of the cone's X_i and Y_i.
+    cox_vars = tuple(replace(v, name=v.name.lower()) for v in cone.variables)
     image_terms = []
     substitution = []
     for i in range(1, n + 1):
-        li = basis_class(lattice, f"l{i}")
-        cox_vars.append(QuadricVariable(f"x{i}", li, weight_of(system, li)))
-        cox_vars.append(QuadricVariable(f"y{i}", f - li, weight_of(system, f - li)))
         image_terms.append((c[i - 1], (f"x{i}", f"y{i}")))
         substitution.append((f"X{i}", c[i - 1], f"x{i}"))
         substitution.append((f"Y{i}", Fraction(1), f"y{i}"))
     quad_system = QuadricSystem(
-        cone.variables + tuple(cox_vars),
+        cone.variables + cox_vars,
         cone.quadrics + (Quadric(tuple(image_terms)),),
         tuple(substitution),
     )

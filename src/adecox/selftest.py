@@ -66,6 +66,17 @@ E_SWEEP = tuple(range(3, 9))
 D_SWEEP = tuple(range(2, 7))
 A_SWEEP = tuple(range(1, 6))
 
+# Predicted numbers of lines, rulings and roots on (E, n); the D and A
+# families follow closed forms.
+_E_COUNTS = {
+    3: (6, 3, 8),
+    4: (10, 5, 20),
+    5: (16, 10, 40),
+    6: (27, 27, 72),
+    7: (56, 126, 126),
+    8: (240, 2160, 240),
+}
+
 # Predicted totals of sym2(line weights), of the top module and of its
 # complement on (E, n); the D and A families follow closed forms.
 _E_SYM2 = {
@@ -89,6 +100,23 @@ _E_CENSUS = {
     8: (None, None, (("anticanonical-census", 1, (2, 2, 0)),
                      ("doubled-anticanonical-census", 2, (123, 4, 119)))),
 }
+
+
+def _count_predictions(lattice: IntersectionLattice) -> dict[str, int]:
+    """Predicted number of classes of each kind in ``ENUMERATORS``.
+
+    The D family has 2n lines, the one ruling ``f`` and 2n(n - 1) roots; the
+    A family has n + 1 lines, no rulings and n(n + 1) roots.
+    """
+    fam = lattice.family
+    n = fam.n
+    if fam.kind == "E":
+        lines, rulings, roots = _E_COUNTS[n]
+    elif fam.kind == "D":
+        lines, rulings, roots = 2 * n, 1, 2 * n * (n - 1)
+    else:
+        lines, rulings, roots = n + 1, 0, n * (n + 1)
+    return {"lines": lines, "rulings": rulings, "roots": roots}
 
 
 def _sym2_predictions(lattice: IntersectionLattice) -> tuple[int, int, int]:
@@ -241,6 +269,13 @@ def _failures(lattice: IntersectionLattice, entries: list[dict]) -> list[str]:
     ]
 
 
+def _verdict(problems: list[str], summary: str) -> tuple[bool, str]:
+    """A check's result: every problem found, or the summary if none."""
+    if problems:
+        return False, "; ".join(problems)
+    return True, summary
+
+
 def _lat(kind: str, n: int) -> IntersectionLattice:
     return build_lattice(SurfaceFamily(kind, n))
 
@@ -285,44 +320,18 @@ def _naive_classes(lattice: IntersectionLattice, kind: str) -> frozenset[Divisor
 
 def _check_enumeration_counts() -> tuple[bool, str]:
     problems = []
-    lines_e = {4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
-    rulings_e = {4: 5, 5: 10, 6: 27, 7: 126, 8: 2160}
-    roots_e = {6: 72, 7: 126, 8: 240}
-    for n, want in lines_e.items():
-        got = len(enumerate_lines(_lat("E", n)))
-        if got != want:
-            problems.append(f"(E,{n}) lines {got} != {want}")
-    for n, want in rulings_e.items():
-        got = len(enumerate_rulings(_lat("E", n)))
-        if got != want:
-            problems.append(f"(E,{n}) rulings {got} != {want}")
-    for n, want in roots_e.items():
-        got = len(enumerate_roots(_lat("E", n)))
-        if got != want:
-            problems.append(f"(E,{n}) roots {got} != {want}")
-    for n in D_SWEEP:
-        lat = _lat("D", n)
-        if len(enumerate_lines(lat)) != 2 * n:
-            problems.append(f"(D,{n}) lines != {2 * n}")
-        rulings = enumerate_rulings(lat)
-        if len(rulings) != 1 or rulings.classes[0] != basis_class(lat, "f"):
-            problems.append(f"(D,{n}) rulings != {{f}}")
-        if len(enumerate_roots(lat)) != 2 * n * (n - 1):
-            problems.append(f"(D,{n}) roots != {2 * n * (n - 1)}")
-    for n in A_SWEEP:
-        lat = _lat("A", n)
-        if len(enumerate_lines(lat)) != n + 1:
-            problems.append(f"(A,{n}) lines != {n + 1}")
-        if len(enumerate_rulings(lat)) != 0:
-            problems.append(f"(A,{n}) rulings not empty")
-        if len(enumerate_roots(lat)) != n * (n + 1):
-            problems.append(f"(A,{n}) roots != {n * (n + 1)}")
+    for lat in _sweep_lattices():
+        label = f"({lat.family.kind},{lat.family.n})"
+        for what, want in _count_predictions(lat).items():
+            got = len(ENUMERATORS[what](lat))
+            if got != want:
+                problems.append(f"{label} {what} {got} != {want}")
+        if lat.family.kind == "D" and enumerate_rulings(lat).classes != (basis_class(lat, "f"),):
+            problems.append(f"{label} rulings != {{f}}")
     total = line_weight_multiset(build_root_system(_lat("E", 8))).total
     if total != 248:
         problems.append(f"(E,8) line module size {total} != 240 + 8")
-    if problems:
-        return False, "; ".join(problems)
-    return True, "line/ruling/root counts match for all families; (E,8) reconciles 240 + 8 = 248"
+    return _verdict(problems, "line/ruling/root counts match for all families; (E,8) reconciles 240 + 8 = 248")
 
 
 def _check_sym2_decomposition() -> tuple[bool, str]:
@@ -331,16 +340,14 @@ def _check_sym2_decomposition() -> tuple[bool, str]:
         for lat in _sweep_lattices()
         for problem in _failures(lat, _sym2_entries(lat))
     ]
-    if problems:
-        return False, "; ".join(problems)
-    return True, "symmetric squares split as predicted for all families, up to (E,8) with 30876 = 27000 + 3876"
+    return _verdict(
+        problems, "symmetric squares split as predicted for all families, up to (E,8) with 30876 = 27000 + 3876"
+    )
 
 
 def _check_weight_lemma() -> tuple[bool, str]:
     problems = [p for lat in _sweep_lattices() for p in _failures(lat, _weights_entries(lat))]
-    if problems:
-        return False, "; ".join(problems)
-    return True, "line orbits match enumeration; line/ruling modules identified for all E cases"
+    return _verdict(problems, "line orbits match enumeration; line/ruling modules identified for all E cases")
 
 
 def _check_dn_cox() -> tuple[bool, str]:
@@ -361,17 +368,17 @@ def _check_dn_cox() -> tuple[bool, str]:
             got = graded_piece_dim(pres, lat, f * a0)
             if got != a0 + 1:
                 problems.append(f"(D,{n}) dim at {a0}f is {got} != {a0 + 1}")
-    if problems:
-        return False, "; ".join(problems)
-    return True, "D-family rings: 2n generators, n-2 relations, graded dims equal section counts to degree 6"
+    return _verdict(
+        problems, "D-family rings: 2n generators, n-2 relations, graded dims equal section counts to degree 6"
+    )
 
 
 def _check_census() -> tuple[bool, str]:
     lattices = [_lat("E", n) for n in sorted(_E_CENSUS)] + [_lat("D", n) for n in (3, 4, 5)]
     problems = [p for lat in lattices for p in _failures(lat, _census_entries(lat))]
-    if problems:
-        return False, "; ".join(problems)
-    return True, "quadric counts per class: 1/2/3/4 per ruling for E4..E7, (28,3,25) at E7, (123,4,119) at E8"
+    return _verdict(
+        problems, "quadric counts per class: 1/2/3/4 per ruling for E4..E7, (28,3,25) at E7, (123,4,119) at E8"
+    )
 
 
 def _check_embedding() -> tuple[bool, str]:
@@ -391,9 +398,9 @@ def _check_embedding() -> tuple[bool, str]:
     _, report3 = embed_cox_into_cone_D(lat3, config3)
     if [Fraction(x) for x in report3["c"]] != [Fraction(-1), Fraction(2), Fraction(-1)]:
         problems.append(f"(D,3) ray {report3['c']} != (-1, 2, -1)")
-    if problems:
-        return False, "; ".join(problems)
-    return True, "cone quadric maps into the surface ideal with all-nonzero rescaling for n = 3, 4, 5"
+    return _verdict(
+        problems, "cone quadric maps into the surface ideal with all-nonzero rescaling for n = 3, 4, 5"
+    )
 
 
 def _check_torus_git() -> tuple[bool, str]:
@@ -432,9 +439,9 @@ def _check_torus_git() -> tuple[bool, str]:
     _, shift_weight = torus_character(e8, anticanonical_shift(e8))
     if any(shift_weight):
         problems.append("(E,8) extra generators have nonzero small-torus weight")
-    if problems:
-        return False, "; ".join(problems)
-    return True, "relations are class- and weight-homogeneous; invariant rays give 1..k+1 (D) and all ones (A)"
+    return _verdict(
+        problems, "relations are class- and weight-homogeneous; invariant rays give 1..k+1 (D) and all ones (A)"
+    )
 
 
 def _check_appendix() -> tuple[bool, str]:
@@ -447,9 +454,9 @@ def _check_appendix() -> tuple[bool, str]:
         problems.append("(D,2) 2x2 factorization or Segre class failed")
     if segre is None or len(segre.quadrics) != 1:
         problems.append("(D,2) Segre system missing")
-    if problems:
-        return False, "; ".join(problems)
-    return True, "line modules factor as 3x2 for (E,3) and 2x2 for (D,2) with the Segre quadric in class f"
+    return _verdict(
+        problems, "line modules factor as 3x2 for (E,3) and 2x2 for (D,2) with the Segre quadric in class f"
+    )
 
 
 def _check_oracles() -> tuple[bool, str]:
@@ -502,9 +509,9 @@ def _check_oracles() -> tuple[bool, str]:
         if reflect(lat, rx, alpha) != x:
             problems.append("reflection is not an involution")
             break
-    if problems:
-        return False, "; ".join(problems)
-    return True, "box-search, symmetric-square, classification and 10^4 reflection checks all agree"
+    return _verdict(
+        problems, "box-search, symmetric-square, classification and 10^4 reflection checks all agree"
+    )
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from functools import lru_cache
 from .curves import enumerate_lines, enumerate_rulings
 from .lattice import CACHE_MAXSIZE, DivisorClass, IntersectionLattice, basis_class, sparse_entries
 from .linalg import invert
-from .roots import RootSystemData, _components, _positive_root_coeffs
+from .roots import RootSystemData, _positive_root_coeffs
 
 WeightVector = tuple[int, ...]
 
@@ -60,17 +60,17 @@ class WeightMultiset:
     def total(self) -> int:
         return sum(m for _, m in self.entries)
 
-    def add(self, other: "WeightMultiset") -> "WeightMultiset":
+    def _merge(self, other: "WeightMultiset", sign: int) -> "WeightMultiset":
         d = self.as_dict()
         for w, m in other.entries:
-            d[w] = d.get(w, 0) + m
+            d[w] = d.get(w, 0) + sign * m
         return WeightMultiset.from_dict(d)
 
+    def add(self, other: "WeightMultiset") -> "WeightMultiset":
+        return self._merge(other, 1)
+
     def subtract(self, other: "WeightMultiset") -> "WeightMultiset":
-        d = self.as_dict()
-        for w, m in other.entries:
-            d[w] = d.get(w, 0) - m
-        return WeightMultiset.from_dict(d)
+        return self._merge(other, -1)
 
 
 def weight_of(system: RootSystemData, d: DivisorClass) -> WeightVector:
@@ -179,11 +179,10 @@ def _orbit_labels(rows, start: WeightVector) -> set[WeightVector]:
 def _freudenthal_block(cartan: tuple[tuple[int, ...], ...], lam: WeightVector):
     """Weight multiplicities of the irreducible with highest weight lam.
 
-    Works on a connected Cartan matrix.  Steps: enumerate the dominant
-    weights (closure of lam under subtracting positive roots while staying
-    dominant, which reaches every dominant weight below lam), then fill in
-    multiplicities by Freudenthal's recursion in order of increasing depth,
-    then expand Weyl orbits.  Depth vectors (coordinates of lam - mu over
+    Steps: enumerate the dominant weights (closure of lam under subtracting
+    positive roots while staying dominant, which reaches every dominant
+    weight below lam), then fill in multiplicities by Freudenthal's
+    recursion in order of increasing depth, then expand Weyl orbits.  Depth vectors (coordinates of lam - mu over
     the simple roots) make the cone membership test exact, and give the
     norm difference ``<lam + rho, lam + rho> - <mu + rho, mu + rho>`` as
     ``sum d_i (lam_i + mu_i + 2)``; ``<nu, alpha> = sum c_i nu_i``.
@@ -235,30 +234,15 @@ def _freudenthal_block(cartan: tuple[tuple[int, ...], ...], lam: WeightVector):
 def freudenthal(system: RootSystemData, lam: WeightVector) -> WeightMultiset:
     """Full weight multiset of the irreducible module with highest weight lam.
 
-    Decomposable Cartan matrices are handled block by block and the block
-    multisets are multiplied together.
+    Freudenthal's formula holds for every semisimple Lie algebra, so a
+    decomposable Cartan matrix such as E3 = A2 x A1 needs no split into
+    blocks: the recursion runs on the whole root system.
     """
     if len(lam) != system.rank:
         raise ValueError("weight length does not match the root system rank")
     if any(x < 0 for x in lam):
         raise ValueError("weight is not dominant")
-    comps = _components(system.cartan)
-    parts = []
-    for comp in comps:
-        sub_cartan = tuple(tuple(system.cartan[i][j] for j in comp) for i in comp)
-        sub_lam = tuple(lam[i] for i in comp)
-        parts.append((comp, _freudenthal_block(sub_cartan, sub_lam)))
-    result: dict[WeightVector, int] = {(0,) * system.rank: 1}
-    for comp, entries in parts:
-        merged: dict[WeightVector, int] = {}
-        for base, m0 in result.items():
-            for w, m in entries:
-                labels = list(base)
-                for pos, val in zip(comp, w):
-                    labels[pos] = val
-                merged[tuple(labels)] = m0 * m
-        result = merged
-    return WeightMultiset.from_dict(result)
+    return WeightMultiset(_freudenthal_block(system.cartan, lam))
 
 
 def is_weyl_invariant(system: RootSystemData, ms: WeightMultiset) -> bool:
@@ -272,16 +256,23 @@ def is_weyl_invariant(system: RootSystemData, ms: WeightMultiset) -> bool:
     return True
 
 
+def _class_weights(system: RootSystemData, classes, what: str) -> dict[WeightVector, int]:
+    """One weight per class, each with multiplicity one; two classes of the
+    same weight are an error."""
+    counts: dict[WeightVector, int] = {}
+    for cls in classes:
+        w = weight_of(system, cls)
+        if w in counts:
+            raise AssertionError(f"distinct {what} mapped to the same weight")
+        counts[w] = 1
+    return counts
+
+
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def line_weight_multiset(system: RootSystemData) -> WeightMultiset:
     """Weights of the line bundle sum: one per line, plus zero^8 for (E, 8)."""
     lattice = system.lattice
-    counts: dict[WeightVector, int] = {}
-    for line in enumerate_lines(lattice):
-        w = weight_of(system, line)
-        counts[w] = counts.get(w, 0) + 1
-    if any(m != 1 for m in counts.values()):
-        raise AssertionError("distinct lines mapped to the same weight")
+    counts = _class_weights(system, enumerate_lines(lattice), "lines")
     if lattice.family.kind == "E" and lattice.family.n == 8:
         zero = (0,) * system.rank
         counts[zero] = counts.get(zero, 0) + 8
@@ -290,13 +281,8 @@ def line_weight_multiset(system: RootSystemData) -> WeightMultiset:
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def ruling_weight_multiset(system: RootSystemData) -> WeightMultiset:
-    counts: dict[WeightVector, int] = {}
-    for r in enumerate_rulings(system.lattice):
-        w = weight_of(system, r)
-        counts[w] = counts.get(w, 0) + 1
-    if any(m != 1 for m in counts.values()):
-        raise AssertionError("distinct rulings mapped to the same weight")
-    return WeightMultiset.from_dict(counts)
+    rulings = enumerate_rulings(system.lattice)
+    return WeightMultiset.from_dict(_class_weights(system, rulings, "rulings"))
 
 
 def sym2_multiset(ms: WeightMultiset) -> WeightMultiset:

@@ -215,6 +215,34 @@ def test_quadrics_rejects_unsupported_family(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "E", "--n", "3", "--points", "1,2"],
+        ["--family", "D", "--n", "2", "--points", "0,1,5"],
+        ["--family", "D", "--n", "2", "--points", "0,1"],
+    ],
+)
+def test_quadrics_refuses_points_it_does_not_use(capsys, argv):
+    code, out, err = run_cli(capsys, ["quadrics"] + argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "--family", "E", "--n", "6", "--what", "lines"], ["selftest"]],
+)
+def test_unwritable_out_exits_2(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, argv + ["--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_invalid_inputs_exit_2(capsys):
     code, _, err = run_cli(capsys, ["enumerate", "--family", "E", "--n", "9", "--what", "lines"])
     assert code == 2
@@ -282,11 +310,32 @@ def test_selftest_stdout_matches_golden_file():
         ("git_D3.csv", ["--which", "git", "--family", "D", "--n", "3", "--points", "0,1,2", "--format", "csv"]),
         ("git_D4.json", ["--which", "git", "--family", "D", "--n", "4"]),
         ("git_A2.json", ["--which", "git", "--family", "A", "--n", "2", "--max-degree", "3"]),
+    ]
+    + [
+        (f"{which}_{surface}.json", ["--which", which, "--family", surface[0], "--n", surface[1:]])
+        for which in ("sym2", "weights")
+        for surface in ("E3", "D2")
     ],
 )
 def test_verify_stdout_matches_golden_file(capsys, name, argv):
     golden = Path(__file__).parent / "data" / "cli" / name
     code, out, err = run_cli(capsys, ["verify"] + argv)
+    assert code == 0, err
+    assert out.encode("utf-8") == golden.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("quadrics_D3.json", ["--family", "D", "--n", "3", "--points", "0,1,2"]),
+        ("quadrics_D5.json", ["--family", "D", "--n", "5", "--points", "0,1/2,-3,4,7"]),
+        ("quadrics_D2.json", ["--family", "D", "--n", "2"]),
+        ("quadrics_E3.json", ["--family", "E", "--n", "3"]),
+    ],
+)
+def test_quadrics_stdout_matches_golden_file(capsys, name, argv):
+    golden = Path(__file__).parent / "data" / "cli" / name
+    code, out, err = run_cli(capsys, ["quadrics"] + argv)
     assert code == 0, err
     assert out.encode("utf-8") == golden.read_bytes()
 

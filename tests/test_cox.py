@@ -30,7 +30,8 @@ from adecox import (
     torus_character,
     verify_hilbert,
 )
-from adecox.cox import MONOMIAL_CAP, _class_monomials, _monomial_table
+from adecox import cox as cox_module
+from adecox.cox import _class_monomials, _monomial_table
 from adecox.curves import KINDS
 from adecox.lattice import pair
 from adecox.linalg import rational_rank
@@ -203,12 +204,13 @@ def test_graded_piece_dim_examples():
     assert graded_piece_dim(presa, a2, target) == 1
 
 
-def test_graded_piece_dim_respects_cap():
+def test_graded_piece_dim_respects_cap(monkeypatch):
     d3 = _lat("D", 3)
     pres = cox_presentation(d3, _points(3))
     f = basis_class(d3, "f")
+    monkeypatch.setattr(cox_module, "MONOMIAL_CAP", 1)
     with pytest.raises(ValueError):
-        graded_piece_dim(pres, d3, f, cap=1)
+        graded_piece_dim(pres, d3, f)
 
 
 def test_graded_piece_dim_past_the_old_enumeration_cap():
@@ -218,7 +220,7 @@ def test_graded_piece_dim_past_the_old_enumeration_cap():
         lat = _lat("D", n)
         pres = cox_presentation(lat, _seeded_points(n, seed=n))
         f = basis_class(lat, "f")
-        assert len(_class_monomials(pres, (f * k).coords, 2 * k, MONOMIAL_CAP)) == 210
+        assert len(_class_monomials(pres, (f * k).coords, 2 * k)) == 210
         assert graded_piece_dim(pres, lat, f * k) == k + 1
 
 
@@ -460,7 +462,7 @@ def test_new_monomial_sources_match_the_old_bucketing(kind, n):
         for cls, monos in bucket.items():
             want = set(monos)
             assert _as_generator_indices(pres, levels[deg][cls.coords]) == want
-            searched = _class_monomials(pres, cls.coords, deg, MONOMIAL_CAP)
+            searched = _class_monomials(pres, cls.coords, deg)
             assert len(searched) == len(want)
             assert _as_generator_indices(pres, searched) == want
             dim = _old_graded_dim(pres, lat, cls, buckets)
@@ -471,4 +473,4 @@ def test_new_monomial_sources_match_the_old_bucketing(kind, n):
     for deg in range(max_degree + 1):
         for cls in buckets[deg]:
             moved = cls + nudge * (deg + 1)
-            assert _class_monomials(pres, moved.coords, deg, MONOMIAL_CAP) == []
+            assert _class_monomials(pres, moved.coords, deg) == []
