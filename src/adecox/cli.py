@@ -205,6 +205,9 @@ def cmd_quadrics(args) -> int:
 def cmd_selftest(args) -> int:
     if args.format == "csv":
         raise ValueError("csv output is not available for selftest")
+    if args.out:
+        # Refuse an unwritable path before the checks run.
+        _write_out(args.out, "")
     buffer = io.StringIO()
     code = run_selftest(buffer)
     text = buffer.getvalue()

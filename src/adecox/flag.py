@@ -124,10 +124,11 @@ def embed_cox_into_cone_D(
     ``Y_i -> y_i`` maps ``sum X_i Y_i`` to ``sum c_i x_i y_i``, which lies
     in the ideal by construction.  The certificate recomputes that
     membership directly: adjoining ``c`` to the relation rows must not
-    raise the rank.  For n = 3 the solution ray is unique; for larger n the
-    geometric-weight combinations ``sum_i k^{i-3} row_i`` for k = 1, 2, ...
-    hit an all-nonzero vector within ``2(n - 3) + 1`` tries because each
-    coordinate is a nonzero polynomial in k of degree at most ``n - 3``.
+    raise the rank.  The geometric-weight combinations ``sum_i k^{i-3} row_i``
+    for k = 1, 2, ... hit an all-nonzero vector within ``2(n - 3) + 1`` tries
+    because each coordinate is a nonzero polynomial in k of degree at most
+    ``n - 3``; for n = 3 the one try is the single relation row, whose ray
+    is the unique solution ray.
     """
     fam = lattice.family
     if fam.kind != "D" or fam.n < 3:
@@ -136,19 +137,14 @@ def embed_cox_into_cone_D(
     presentation = dn_ideal(lattice, config)
     rows = _relation_rows(presentation, n)
     c: list[Fraction] | None = None
-    if n == 3:
-        candidate = rows[0]
+    for k in range(1, 2 * (n - 3) + 2):
+        candidate = [
+            sum(Fraction(k) ** (i - 3) * rows[i - 3][j] for i in range(3, n + 1))
+            for j in range(n)
+        ]
         if all(x != 0 for x in candidate):
             c = candidate
-    else:
-        for k in range(1, 2 * (n - 3) + 2):
-            candidate = [
-                sum(Fraction(k) ** (i - 3) * rows[i - 3][j] for i in range(3, n + 1))
-                for j in range(n)
-            ]
-            if all(x != 0 for x in candidate):
-                c = candidate
-                break
+            break
     if c is None:
         raise AssertionError("no all-nonzero combination of relation rows found")
     rank_before = rational_rank(tuple(tuple(r) for r in rows))

@@ -243,6 +243,17 @@ def test_unwritable_out_exits_2(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+def test_unwritable_selftest_out_exits_2_before_any_check(capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr("adecox.cli.run_selftest", lambda stream: calls.append(stream) or 0)
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run_cli(capsys, ["selftest", "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --out")
+    assert calls == []
+
+
 def test_invalid_inputs_exit_2(capsys):
     code, _, err = run_cli(capsys, ["enumerate", "--family", "E", "--n", "9", "--what", "lines"])
     assert code == 2

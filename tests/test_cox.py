@@ -31,7 +31,7 @@ from adecox import (
     verify_hilbert,
 )
 from adecox import cox as cox_module
-from adecox.cox import _class_monomials, _monomial_table
+from adecox.cox import CoxPresentation, Generator, _class_monomials, _monomial_table
 from adecox.curves import KINDS
 from adecox.lattice import pair
 from adecox.linalg import rational_rank
@@ -220,8 +220,39 @@ def test_graded_piece_dim_past_the_old_enumeration_cap():
         lat = _lat("D", n)
         pres = cox_presentation(lat, _seeded_points(n, seed=n))
         f = basis_class(lat, "f")
-        assert len(_class_monomials(pres, (f * k).coords, 2 * k)) == 210
+        assert len(_class_monomials(pres, (f * k).coords)) == 210
         assert graded_piece_dim(pres, lat, f * k) == k + 1
+
+
+def test_class_monomials_keep_the_walk_order():
+    # Pair by pair, e = 0 first and then e = r, ..., 1: the pivot order of
+    # the rank elimination depends on it.
+    lat = _lat("D", 3)
+    pres = cox_presentation(lat, _points(3))
+    f = basis_class(lat, "f")
+    l1 = basis_class(lat, "l1")
+    assert _class_monomials(pres, (f * 2).coords) == [
+        (4, 4, 5, 5), (2, 2, 3, 3), (2, 3, 4, 5), (0, 0, 1, 1), (0, 1, 4, 5), (0, 1, 2, 3),
+    ]
+    assert _class_monomials(pres, (f * 2 - l1).coords) == [(1, 4, 5), (1, 2, 3), (0, 1, 1)]
+
+
+def test_graded_piece_dim_refuses_by_count_before_listing():
+    # 10f on D20 has C(29, 19) = 20,030,010 monomials.
+    lat = _lat("D", 20)
+    pres = cox_presentation(lat, _points(20))
+    f = basis_class(lat, "f")
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        graded_piece_dim(pres, lat, f * 10)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_presentation_refuses_generators_out_of_layout():
+    lat = _lat("D", 3)
+    gens = [Generator(name, cls) for name, cls in cox_generators(lat)]
+    with pytest.raises(ValueError, match="cox_generators"):
+        CoxPresentation(lat, tuple(reversed(gens)), ())
 
 
 def test_verify_hilbert_refuses_a_table_past_the_cap_quickly():
@@ -232,6 +263,19 @@ def test_verify_hilbert_refuses_a_table_past_the_cap_quickly():
     done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
     elapsed = time.perf_counter() - start
     assert done.returncode == 2
+    assert done.stderr.startswith("error: ")
+    assert "exceeds the cap" in done.stderr
+    assert elapsed < 10
+
+
+def test_verify_git_refuses_a_ray_past_the_cap_quickly():
+    argv = [sys.executable, "-m", "adecox", "verify", "--which", "git", "--family", "D",
+            "--n", "3", "--points", "0,1,2", "--max-degree", "100000"]
+    start = time.perf_counter()
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 2
+    assert done.stdout == ""
     assert done.stderr.startswith("error: ")
     assert "exceeds the cap" in done.stderr
     assert elapsed < 10
@@ -462,7 +506,7 @@ def test_new_monomial_sources_match_the_old_bucketing(kind, n):
         for cls, monos in bucket.items():
             want = set(monos)
             assert _as_generator_indices(pres, levels[deg][cls.coords]) == want
-            searched = _class_monomials(pres, cls.coords, deg)
+            searched = _class_monomials(pres, cls.coords)
             assert len(searched) == len(want)
             assert _as_generator_indices(pres, searched) == want
             dim = _old_graded_dim(pres, lat, cls, buckets)
@@ -473,4 +517,4 @@ def test_new_monomial_sources_match_the_old_bucketing(kind, n):
     for deg in range(max_degree + 1):
         for cls in buckets[deg]:
             moved = cls + nudge * (deg + 1)
-            assert _class_monomials(pres, moved.coords, deg) == []
+            assert _class_monomials(pres, moved.coords) == []
