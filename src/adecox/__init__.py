@@ -63,7 +63,6 @@ from .weights import (
     WeightMultiset,
     decompose_sym2,
     freudenthal,
-    inner_product,
     is_weyl_invariant,
     line_highest_class,
     line_weight_multiset,
@@ -110,7 +109,6 @@ __all__ = [
     "freudenthal",
     "git_hilbert",
     "graded_piece_dim",
-    "inner_product",
     "is_weyl_invariant",
     "line_highest_class",
     "line_weight_multiset",

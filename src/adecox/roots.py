@@ -14,9 +14,12 @@ Simple root conventions:
   that pairs to +1 with ``alpha_3``, i.e. the class completing the fork.
 * ``A`` family: ``alpha_i = l_(i+1) - l_i`` for ``1 <= i <= n``, a chain.
 
-Diagram classification goes by graph isomorphism, so the small cases come
-out under their isomorphic names: (E,3) -> A2xA1, (E,4) -> A4, (E,5) -> D5,
-(D,2) -> A1xA1, (D,3) -> A3.
+The Dynkin type is read off the positive roots: a connected component of
+rank k has k(k+1)/2 of them for A_k, k(k-1) for D_k, and 36, 63 and 120 for
+E6, E7 and E8.  No other count occurs, since the root closure only ends on
+a finite (ADE) system, and A3 = D3, with six, is named A3.  So the small
+cases come out under their isomorphic names: (E,3) -> A2xA1, (E,4) -> A4,
+(E,5) -> D5, (D,2) -> A1xA1, (D,3) -> A3.
 """
 
 from __future__ import annotations
@@ -73,36 +76,6 @@ def simple_roots(lattice: IntersectionLattice) -> tuple[DivisorClass, ...]:
     return tuple(alphas)
 
 
-def _classify_component(adj: dict[int, list[int]], comp: tuple[int, ...]) -> str:
-    k = len(comp)
-    degs = sorted(len(adj[v]) for v in comp)
-    nedges = sum(len(adj[v]) for v in comp) // 2
-    if nedges != k - 1 or (degs and degs[-1] > 3):
-        raise ValueError("diagram is not of ADE type")
-    if k == 1 or degs[-1] <= 2:
-        return f"A{k}"
-    branch = next(v for v in comp if len(adj[v]) == 3)
-    arms = []
-    for start in adj[branch]:
-        length = 1
-        prev, cur = branch, start
-        while True:
-            nxt = [w for w in adj[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] != 1 or len(arms) != 3:
-        raise ValueError("diagram is not of ADE type")
-    if arms[1] == 1:
-        return f"D{k}"
-    if arms[1] == 2 and arms[2] in (2, 3, 4):
-        return f"E{k}"
-    raise ValueError("diagram is not of ADE type")
-
-
 def _components(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
     """Connected components of the Dynkin diagram, each as sorted node indices."""
     rank = len(cartan)
@@ -125,10 +98,21 @@ def _components(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
     return comps
 
 
-def _classify_cartan(cartan: tuple[tuple[int, ...], ...]) -> str:
-    rank = len(cartan)
-    adj = {i: [j for j in range(rank) if j != i and cartan[i][j] != 0] for i in range(rank)}
-    labels = [_classify_component(adj, comp) for comp in _components(cartan)]
+def _type_label(
+    cartan: tuple[tuple[int, ...], ...], root_coeffs: tuple[tuple[int, ...], ...]
+) -> str:
+    """Dynkin type by the root counts of the module docstring; each positive
+    root is counted in the component of its support."""
+    comps = _components(cartan)
+    where = {i: j for j, comp in enumerate(comps) for i in comp}
+    counts = [0] * len(comps)
+    for coeffs in root_coeffs:
+        counts[where[coeffs.index(max(coeffs))]] += 1  # a node of the support
+    labels = []
+    for comp, count in zip(comps, counts):
+        k = len(comp)
+        kind = "A" if count == k * (k + 1) // 2 else "D" if count == k * (k - 1) else "E"
+        labels.append(f"{kind}{k}")
     labels.sort(key=lambda s: (-int(s[1:]), s[0]))
     return "x".join(labels)
 
@@ -198,13 +182,14 @@ def build_root_system(lattice: IntersectionLattice) -> RootSystemData:
                     coords[k] += c * v
         roots.append((DivisorClass(tuple(coords)), coeffs))
     roots.sort()
+    root_coeffs = tuple(c for _, c in roots)
     return RootSystemData(
         lattice=lattice,
         simple_roots=alphas,
         cartan=cartan,
         positive_roots=tuple(r for r, _ in roots),
-        type_label=_classify_cartan(cartan),
-        root_coeffs=tuple(c for _, c in roots),
+        type_label=_type_label(cartan, root_coeffs),
+        root_coeffs=root_coeffs,
         simple_covectors=tuple(sparse_entries(gram_vector(lattice, a)) for a in alphas),
     )
 

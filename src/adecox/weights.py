@@ -11,8 +11,7 @@ a simply laced system, with roots of norm 2, a positive root
 ``alpha = sum c_i alpha_i`` pairs with a weight ``mu`` as
 ``<mu, alpha> = sum c_i mu_i``, and when ``lam - mu = sum d_i alpha_i``,
 ``<lam + rho, lam + rho> - <mu + rho, mu + rho> = sum d_i (lam_i + mu_i + 2)``;
-neither needs the inverse Cartan matrix.  ``inner_product`` evaluates
-``<mu, nu> = mu^T C^{-1} nu`` exactly and is kept as API.
+neither needs the inverse Cartan matrix.
 
 The central identity checked by this module: the multiset of weights of the
 line bundle sum over all lines (plus eight copies of the zero weight in the
@@ -29,12 +28,10 @@ weight for (E, 8).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .curves import enumerate_lines, enumerate_rulings
 from .lattice import CACHE_MAXSIZE, DivisorClass, IntersectionLattice, basis_class, sparse_entries
-from .linalg import invert
 from .roots import RootSystemData, _positive_root_coeffs
 
 WeightVector = tuple[int, ...]
@@ -93,27 +90,6 @@ def ruling_highest_class(lattice: IntersectionLattice) -> DivisorClass:
     if lattice.family.kind != "E":
         raise ValueError("ruling weight class is only defined for the E family")
     return basis_class(lattice, "h") - basis_class(lattice, "l1")
-
-
-@lru_cache(maxsize=CACHE_MAXSIZE)
-def _cartan_inverse(cartan: tuple[tuple[int, ...], ...]):
-    return tuple(tuple(row) for row in invert(cartan))
-
-
-def inner_product(system: RootSystemData, mu: WeightVector, nu: WeightVector) -> Fraction:
-    """Weight space inner product ``mu^T C^{-1} nu``, roots normalized to norm 2.
-
-    Exact, through the inverse Cartan matrix.  Kept as API: the dimension
-    formula and Freudenthal's recursion use the integer identities in the
-    module docstring instead.
-    """
-    cinv = _cartan_inverse(system.cartan)
-    rank = len(cinv)
-    total = Fraction(0)
-    for i in range(rank):
-        if mu[i]:
-            total += mu[i] * sum(cinv[i][j] * nu[j] for j in range(rank) if nu[j])
-    return total
 
 
 def weyl_dim(system: RootSystemData, lam: WeightVector) -> int:

@@ -4,6 +4,7 @@ import json
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,17 @@ def test_verify_git_a_family_all_ones(capsys):
     for entry in json.loads(out)["results"]:
         if "dims" in entry:
             assert entry["dims"] == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("family", ["D", "A"])
+def test_verify_git_refuses_a_long_ray_before_any_dimension(capsys, family):
+    argv = ["verify", "--which", "git", "--family", family, "--n", "3", "--max-degree", "1000000"]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "exceeds the cap" in err
 
 
 def test_csv_rejected_for_nested_reports(capsys):

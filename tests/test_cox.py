@@ -238,14 +238,43 @@ def test_class_monomials_keep_the_walk_order():
 
 
 def test_graded_piece_dim_refuses_by_count_before_listing():
-    # 10f on D20 has C(29, 19) = 20,030,010 monomials.
-    lat = _lat("D", 20)
-    pres = cox_presentation(lat, _points(20))
-    f = basis_class(lat, "f")
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="exceeds the cap"):
-        graded_piece_dim(pres, lat, f * 10)
-    assert time.perf_counter() - start < 0.5
+    # 10f on D20 has C(29, 19) = 20,030,010 monomials; 600f on D3 has only
+    # C(602, 2) = 180,901, but of degree 1200: 217,081,200 positions.
+    for n, k in ((20, 10), (3, 600)):
+        lat = _lat("D", n)
+        pres = cox_presentation(lat, _points(n))
+        f = basis_class(lat, "f")
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            graded_piece_dim(pres, lat, f * k)
+        assert time.perf_counter() - start < 0.5
+
+
+def test_class_monomials_cap_counts_positions(monkeypatch):
+    # 2f on D3: six monomials of degree 4; l1 + 2 l2 on A2: one of degree 3.
+    d3, a2 = _lat("D", 3), _lat("A", 2)
+    cases = [
+        (cox_presentation(d3, _points(3)), (basis_class(d3, "f") * 2).coords, 24),
+        (cox_presentation(a2), (basis_class(a2, "l1") + basis_class(a2, "l2") * 2).coords, 3),
+    ]
+    for pres, target, positions in cases:
+        monkeypatch.setattr(cox_module, "MONOMIAL_CAP", positions)
+        assert sum(map(len, _class_monomials(pres, target))) == positions
+        monkeypatch.setattr(cox_module, "MONOMIAL_CAP", positions - 1)
+        with pytest.raises(ValueError, match=f" {positions} positions"):
+            _class_monomials(pres, target)
+
+
+def test_monomial_table_cap_counts_positions(monkeypatch):
+    # D6 to degree 6: 12 C(18, 5) = 102,816 positions, the sum of k C(11 + k, k).
+    lat = _lat("D", 6)
+    pres = cox_presentation(lat, _points(6))
+    monkeypatch.setattr(cox_module, "MONOMIAL_CAP", 102_816)
+    levels = _monomial_table(pres, 6)
+    assert sum(len(mono) for level in levels for monos in level.values() for mono in monos) == 102_816
+    monkeypatch.setattr(cox_module, "MONOMIAL_CAP", 102_815)
+    with pytest.raises(ValueError, match="102816 positions"):
+        _monomial_table(pres, 6)
 
 
 def test_presentation_refuses_generators_out_of_layout():

@@ -10,7 +10,7 @@ from adecox import (
     degree,
     pair,
 )
-from adecox.linalg import det, symmetric_signature
+from dense_linalg import det, symmetric_signature
 
 ALL_FAMILIES = (
     [SurfaceFamily("A", n) for n in range(1, 7)]

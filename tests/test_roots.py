@@ -17,7 +17,7 @@ from adecox import (
     simple_roots,
     weyl_orbit,
 )
-from adecox.linalg import det
+from dense_linalg import det
 
 
 def test_d4_simple_roots_and_pairings():
@@ -76,6 +76,16 @@ CLASSIFICATION = [
     ("E", 6, "E6"),
     ("E", 7, "E7"),
     ("E", 8, "E8"),
+]
+# Every member from E3 to E8, D2 to D30 and A1 to A40, named by hand: the
+# type comes from root counts, so these names check it independently.
+_SMALL_NAMES = {("E", 3): "A2xA1", ("E", 4): "A4", ("E", 5): "D5", ("D", 2): "A1xA1", ("D", 3): "A3"}
+_LISTED = {(kind, n) for kind, n, _ in CLASSIFICATION}
+CLASSIFICATION += [
+    (kind, n, _SMALL_NAMES.get((kind, n), f"{kind}{n}"))
+    for kind, ns in (("E", range(3, 9)), ("D", range(2, 31)), ("A", range(1, 41)))
+    for n in ns
+    if (kind, n) not in _LISTED
 ]
 
 

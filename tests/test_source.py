@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import adecox
+
 PACKAGE = Path(__file__).parent.parent / "src" / "adecox"
 
 
@@ -16,3 +18,39 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _names_used(tree):
+    """``(name, line)`` of every name, attribute and from-import in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+def test_every_top_level_definition_is_used_or_exported():
+    # Code that only the tests need lives under tests/: each top-level
+    # function and class is in adecox.__all__ or used outside its own body.
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    uses = [
+        (module, name, line) for module, tree in trees.items() for name, line in _names_used(tree)
+    ]
+    unused = [
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in adecox.__all__
+        and not any(
+            name == node.name and not (where == module and node.lineno <= line <= node.end_lineno)
+            for where, name, line in uses
+        )
+    ]
+    assert unused == []
