@@ -7,7 +7,9 @@ and the canonical degree turns the search into: for each ``a``, find all
 integer tuples with prescribed sum ``s`` and sum of squares ``q``.  The
 Cauchy-Schwarz bound ``(s - b)^2 <= (m - 1)(q - b^2)`` prunes every branch
 that cannot be completed, so the recursion is provably exhaustive while
-visiting only near-feasible prefixes.
+visiting only near-feasible prefixes.  The last two coordinates are solved
+in closed form, and so is a tail whose remaining sum of squares is zero: it
+can only be all zeros.
 
 Kinds and their defining equations (``.`` is the intersection pairing):
 
@@ -70,8 +72,9 @@ def _sum_square_tuples(m: int, s: int, q: int):
 
     Depth first in lexicographic order, with an explicit stack of candidate
     iterators (one per open coordinate) and one shared prefix list, so the
-    depth is not bounded by the recursion limit.  The last two coordinates
-    are solved in closed form.
+    depth is not bounded by the recursion limit.  The last two coordinates,
+    and a tail whose remaining sum of squares is zero, are solved in closed
+    form.
     """
     if m <= 2 or q < 0:
         if m == 2:
@@ -94,7 +97,10 @@ def _sum_square_tuples(m: int, s: int, q: int):
             stack.pop()
             continue
         prefix[i] = b
-        if after == 2:
+        if tail_q == 0:
+            # The pruning test above forced tail_s == 0: the tail is all zeros.
+            yield tuple(prefix[: i + 1]) + (0,) * after
+        elif after == 2:
             for tail in _two_square_pairs(tail_s, tail_q):
                 yield tuple(prefix) + tail
         else:

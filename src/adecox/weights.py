@@ -294,11 +294,11 @@ def expected_w_multiset(system: RootSystemData) -> tuple[WeightMultiset, str]:
         return WeightMultiset(()), "empty"
     if fam.kind == "D":
         return _zero_multiset(system, 1), "one zero weight"
-    rulings = ruling_weight_multiset(system)
     if fam.n <= 6:
-        return rulings, "ruling weights"
+        return ruling_weight_multiset(system), "ruling weights"
     if fam.n == 7:
-        return rulings.add(_zero_multiset(system, 7)), "ruling weights plus zero^7"
+        rulings = ruling_weight_multiset(system).add(_zero_multiset(system, 7))
+        return rulings, "ruling weights plus zero^7"
     top = freudenthal(system, weight_of(system, ruling_highest_class(system.lattice)))
     return top.add(_zero_multiset(system, 1)), "3875-module plus one zero weight"
 

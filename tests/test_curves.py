@@ -9,6 +9,7 @@ from math import isqrt
 import pytest
 
 from adecox import (
+    ClassSet,
     DivisorClass,
     SurfaceFamily,
     basis_class,
@@ -19,7 +20,9 @@ from adecox import (
     pair,
     pairs_of_lines_summing_to,
 )
-from adecox.curves import _sum_square_tuples
+from adecox import selftest
+from adecox.curves import ENUMERATORS, _sum_square_tuples
+from box_search import full_box_classes
 
 LINE_COUNTS_E = {3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 RULING_COUNTS_E = {3: 3, 4: 5, 5: 10, 6: 27, 7: 126, 8: 2160}
@@ -135,15 +138,67 @@ def test_pairs_count_zero_when_no_decomposition():
 
 
 def test_sum_square_tuples_match_brute_force():
-    for m in range(5):
-        for s in range(-3, 4):
-            for q in range(-1, 8):
-                top = isqrt(max(q, 0))
-                want = [
-                    b for b in product(range(-top, top + 1), repeat=m)
-                    if sum(b) == s and sum(x * x for x in b) == q
-                ]
+    # m = 5 and 6 brute-force zero tails spanning three or more coordinates.
+    for m in range(7):
+        for q in range(-1, 8):
+            top = isqrt(max(q, 0))
+            squares = [
+                b for b in product(range(-top, top + 1), repeat=m) if sum(x * x for x in b) == q
+            ]
+            for s in range(-3, 4):
+                want = [b for b in squares if sum(b) == s]
                 assert list(_sum_square_tuples(m, s, q)) == want, (m, s, q)
+
+
+def test_d_roots_match_closed_form():
+    n = 40
+    lat = build_lattice(SurfaceFamily("D", n))
+    f = basis_class(lat, "f")
+    ls = [basis_class(lat, f"l{i}") for i in range(1, n + 1)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    want = {sign * (ls[i] - ls[j]) for i, j in pairs for sign in (1, -1)}
+    want |= {sign * (f - ls[i] - ls[j]) for i, j in pairs for sign in (1, -1)}
+    roots = enumerate_roots(lat).classes
+    assert set(roots) == want
+    assert list(roots) == sorted(roots)
+
+
+def test_a_roots_match_closed_form():
+    n = 60
+    lat = build_lattice(SurfaceFamily("A", n))
+    ls = [basis_class(lat, f"l{i}") for i in range(1, n + 2)]
+    want = {a - b for a in ls for b in ls if a != b}
+    roots = enumerate_roots(lat).classes
+    assert set(roots) == want
+    assert list(roots) == sorted(roots)
+
+
+@pytest.mark.parametrize("kind,n", selftest.BOX_SURFACES + (("E", 5),))
+def test_box_search_matches_full_box_and_enumerators(kind, n):
+    """C9's solved-pivot box search finds what the full-box scan finds.
+
+    E5 is too slow for the selftest, so its enumerations are checked
+    against the box search here only.
+    """
+    lat = build_lattice(SurfaceFamily(kind, n))
+    for what, enumerate_kind in ENUMERATORS.items():
+        solved = selftest._naive_classes(lat, what)
+        assert solved == full_box_classes(lat, what), what
+        assert solved == enumerate_kind(lat).as_set(), what
+
+
+def test_box_search_check_fails_on_a_dropped_class(monkeypatch):
+    def drop_one_d4_root(lat):
+        found = enumerate_roots(lat)
+        if lat.family != SurfaceFamily("D", 4):
+            return found
+        return ClassSet(lat, "roots", found.classes[1:])
+
+    monkeypatch.setitem(ENUMERATORS, "roots", drop_one_d4_root)
+    check = next(c for c in selftest.CHECKS if c.check_id == "C9")
+    result = check.run()
+    assert not result.passed
+    assert result.details == "(D,4) roots differ from the box search"
 
 
 def test_enumeration_depth_is_not_bounded_by_the_recursion_limit():
