@@ -6,7 +6,9 @@ explicit polynomial systems for the D family and the two rank-drop cases,
 and ``selftest`` runs the full check registry.
 
 ``verify --which X`` prints the entries of the per-surface check
-``selftest.SURFACE_CHECKS[X]``, the same function the selftest sweeps call.
+``selftest.SURFACE_CHECKS[X]``, the same function the selftest sweeps call,
+and ``quadrics`` prints the entry of ``selftest.quadrics_entries``, the one
+C6 and C8 check.  Every ``pass`` printed comes from those functions.
 Only ``hilbert`` and ``git`` take ``--points`` and ``--max-degree``; the
 other checks refuse both.  ``git`` with points computes the ray dimensions
 by exact rank on the presentation.
@@ -28,11 +30,10 @@ import json
 import sys
 from fractions import Fraction
 
-from .cox import SurfaceConfigD, dn_ideal
+from .cox import SurfaceConfigD
 from .curves import ENUMERATORS
-from .flag import QuadricSystem, appendix_tensor_check, cone_quadric_D, embed_cox_into_cone_D
 from .lattice import IntersectionLattice, SurfaceFamily, build_lattice
-from .selftest import SURFACE_CHECKS, run_selftest
+from .selftest import SURFACE_CHECKS, quadrics_entries, run_selftest
 
 
 def _build_lattice_from(args) -> IntersectionLattice:
@@ -49,34 +50,6 @@ def _config_from(args) -> SurfaceConfigD | None:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse points {text!r}: {exc}") from exc
     return SurfaceConfigD(points)
-
-
-def _system_doc(system: QuadricSystem) -> dict:
-    doc = {
-        "variables": [
-            {
-                "name": v.name,
-                "class": list(v.cls.coords),
-                "weight": list(v.weight),
-            }
-            for v in system.variables
-        ],
-        "quadrics": [
-            {
-                "terms": [
-                    {"coeff": str(coeff), "monomial": list(mono)}
-                    for coeff, mono in quad.terms
-                ]
-            }
-            for quad in system.quadrics
-        ],
-    }
-    if system.substitution is not None:
-        doc["substitution"] = [
-            {"from": src, "scalar": str(scalar), "to": dst}
-            for src, scalar, dst in system.substitution
-        ]
-    return doc
 
 
 def _write_out(path: str, text: str) -> None:
@@ -150,56 +123,14 @@ def cmd_verify(args) -> int:
 def cmd_quadrics(args) -> int:
     lattice = _build_lattice_from(args)
     fam = lattice.family
-    if fam.is_appendix_case:
-        if args.points is not None:
-            raise ValueError(f"quadrics on {fam.label} takes no --points")
-        report, segre = appendix_tensor_check(lattice)
-        result = dict(report)
-        result["check"] = "tensor-factorization"
-        result["pass"] = report["ok"]
-        if segre is not None:
-            result["segre"] = _system_doc(segre)
-        _emit(args, lattice, [result])
-        return 0 if report["ok"] else 1
-    if fam.kind != "D" or fam.n < 3:
-        raise ValueError(
-            "quadrics are emitted for the D family with n >= 3 and for "
-            "the rank-drop cases (E,3) and (D,2)"
-        )
-    config = _config_from(args)
-    if config is None:
-        raise ValueError("this command needs --points for the D family")
-    presentation = dn_ideal(lattice, config)
-    cone = cone_quadric_D(lattice)
-    embedded, report = embed_cox_into_cone_D(lattice, config)
-    generators = [
-        {"name": g.name, "class": list(g.cls.coords)} for g in presentation.generators
-    ]
-    relations = [
-        {
-            "class": list(rel.cls.coords),
-            "terms": [
-                {
-                    "coeff": str(coeff),
-                    "monomial": [presentation.generators[i].name for i in mono],
-                }
-                for coeff, mono in rel.terms
-            ],
-        }
-        for rel in presentation.relations
-    ]
-    result = {
-        "check": "surface-ideal-and-cone",
-        "points": [str(t) for t in config.points],
-        "generators": generators,
-        "relations": relations,
-        "cone": _system_doc(cone),
-        "embedding": _system_doc(embedded),
-        "certificate": report,
-        "pass": report["certified"],
-    }
-    _emit(args, lattice, [result])
-    return 0 if report["certified"] else 1
+    if fam.is_appendix_case and args.points is not None:
+        raise ValueError(f"quadrics on {fam.label} takes no --points")
+    # Points are parsed only where they are used, so other surfaces are
+    # refused for the family first.
+    config = _config_from(args) if fam.kind == "D" and fam.n >= 3 else None
+    entries = quadrics_entries(lattice, config)
+    _emit(args, lattice, entries)
+    return 0 if all(entry["pass"] for entry in entries) else 1
 
 
 def cmd_selftest(args) -> int:

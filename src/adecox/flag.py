@@ -10,7 +10,10 @@ certified by an exact rank computation in the class-``f`` graded piece.
 
 The A family needs no quadric (the ring is free), and the two rank-drop
 cases (E, 3) and (D, 2) decompose as outer tensor products, checked here
-at the level of weight multisets together with the 2x2 Segre quadric.
+on the line classes together with the 2x2 Segre quadric.
+
+``quadrics`` prints, and C6 and C8 check, the one entry per surface that
+``selftest.quadrics_entries`` builds from these functions.
 """
 
 from __future__ import annotations
@@ -94,9 +97,7 @@ def cone_quadric_D(lattice: IntersectionLattice) -> QuadricSystem:
     zero = (0,) * system.rank
     lookup = {v.name: v.weight for v in variables}
     for _, mono in quadric.terms:
-        total = tuple(
-            a + b for a, b in zip(lookup[mono[0]], lookup[mono[1]])
-        )
+        total = tuple(a + b for a, b in zip(lookup[mono[0]], lookup[mono[1]]))
         if total != zero:
             raise AssertionError(f"cone quadric term {mono} has nonzero weight {total}")
     return QuadricSystem(tuple(variables), (quadric,))
@@ -181,70 +182,46 @@ def appendix_tensor_check(
 ) -> tuple[dict, QuadricSystem | None]:
     """Tensor factorizations of the line module in the two rank-drop cases.
 
-    (E, 3): the six line weights are the pairwise sums of the three weights
-    of the classes ``-(h - l_i)`` and the two weights of ``h`` and
-    ``2h - l_1 - l_2 - l_3``.  (D, 2): the four lines split as sums of
-    ``{l_1 - s, l_2 - s}`` and ``{s, s + f - l_1 - l_2}``, with the 2x2
-    Segre quadric ``z11 z22 - z12 z21`` homogeneous of class ``f``.
+    Each case has one factor pair (left, right) whose pairwise sums must be
+    the lines, as classes (so their weights agree too).  (E, 3): the classes
+    ``l_i - h`` and ``h, 2h - l_1 - l_2 - l_3``.  (D, 2): ``{l_1 - s, l_2 - s}``
+    and ``{s, s + f - l_1 - l_2}``, with the 2x2 Segre quadric
+    ``z11 z22 - z12 z21`` on the sums, homogeneous of class ``f``.
     """
     fam = lattice.family
-    system = build_root_system(lattice)
-    if fam.kind == "E" and fam.n == 3:
+    if not fam.is_appendix_case:
+        raise ValueError("tensor check is defined for (E, 3) and (D, 2) only")
+    if fam.kind == "E":
         h = basis_class(lattice, "h")
         ls = [basis_class(lattice, f"l{i}") for i in (1, 2, 3)]
-        left = [ls[i] - h for i in range(3)]
+        left = [li - h for li in ls]
         right = [h, h + h - ls[0] - ls[1] - ls[2]]
-        products = sorted(
-            weight_of(system, a + b) for a in left for b in right
-        )
-        line_weights = sorted(
-            weight_of(system, line) for line in enumerate_lines(lattice)
-        )
-        report = {
-            "family": fam.label,
-            "left_dim": len(left),
-            "right_dim": len(right),
-            "line_count": len(line_weights),
-            "factorization_holds": products == line_weights,
-            "ok": products == line_weights,
-        }
-        return report, None
-    if fam.kind == "D" and fam.n == 2:
-        f = basis_class(lattice, "f")
-        s = basis_class(lattice, "s")
-        l1 = basis_class(lattice, "l1")
-        l2 = basis_class(lattice, "l2")
+    else:
+        f, s, l1, l2 = (basis_class(lattice, label) for label in ("f", "s", "l1", "l2"))
         left = [l1 - s, l2 - s]
         right = [s, s + f - l1 - l2]
-        sums = sorted((a + b) for a in left for b in right)
-        line_classes = sorted(enumerate_lines(lattice))
-        variables = []
-        for i, a in enumerate(left, start=1):
-            for j, b in enumerate(right, start=1):
-                cls = a + b
-                variables.append(
-                    QuadricVariable(f"z{i}{j}", cls, weight_of(system, cls))
-                )
-        segre = Quadric(
-            (
-                (Fraction(1), ("z11", "z22")),
-                (Fraction(-1), ("z12", "z21")),
-            )
-        )
-        quad_system = QuadricSystem(tuple(variables), (segre,))
-        lookup = {v.name: v.cls for v in variables}
-        segre_classes = sorted(
-            {lookup[m[0]] + lookup[m[1]] for _, m in segre.terms}
-        )
-        report = {
-            "family": fam.label,
-            "left_dim": 2,
-            "right_dim": 2,
-            "line_count": len(line_classes),
-            "factorization_holds": sums == line_classes,
-            "segre_monomial_classes": [list(cls.coords) for cls in segre_classes],
-            "segre_class_is_f": segre_classes == [f],
-            "ok": sums == line_classes and segre_classes == [f],
-        }
-        return report, quad_system
-    raise ValueError("tensor check is defined for (E, 3) and (D, 2) only")
+    line_classes = sorted(enumerate_lines(lattice))
+    holds = sorted(a + b for a in left for b in right) == line_classes
+    report = {
+        "family": fam.label,
+        "left_dim": len(left),
+        "right_dim": len(right),
+        "line_count": len(line_classes),
+        "factorization_holds": holds,
+        "ok": holds,
+    }
+    if fam.kind == "E":
+        return report, None
+    system = build_root_system(lattice)
+    variables = tuple(
+        QuadricVariable(f"z{i}{j}", a + b, weight_of(system, a + b))
+        for i, a in enumerate(left, start=1)
+        for j, b in enumerate(right, start=1)
+    )
+    segre = Quadric(((Fraction(1), ("z11", "z22")), (Fraction(-1), ("z12", "z21"))))
+    lookup = {v.name: v.cls for v in variables}
+    segre_classes = sorted({lookup[m[0]] + lookup[m[1]] for _, m in segre.terms})
+    report["segre_monomial_classes"] = [list(cls.coords) for cls in segre_classes]
+    report["segre_class_is_f"] = segre_classes == [f]
+    report["ok"] = holds and segre_classes == [f]
+    return report, QuadricSystem(variables, (segre,))

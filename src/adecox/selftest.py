@@ -13,7 +13,9 @@ each have one check function in ``SURFACE_CHECKS``, next to the tables of
 predicted invariants.  ``verify --which`` prints the entries such a function
 returns; C2-C5 and C7 run the same functions over their sweeps and turn
 each failing entry into a detail naming the surface, the check and the
-numbers compared.
+numbers compared.  ``quadrics`` and C6/C8 likewise share
+``quadrics_entries``, the D-family embedding and the rank-drop
+factorizations.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .cox import (
     verify_hilbert,
 )
 from .curves import ENUMERATORS, KINDS, enumerate_lines, enumerate_roots, enumerate_rulings
-from .flag import appendix_tensor_check, cone_quadric_D, embed_cox_into_cone_D
+from .flag import QuadricSystem, appendix_tensor_check, cone_quadric_D, embed_cox_into_cone_D
 from .lattice import (
     DivisorClass,
     IntersectionLattice,
@@ -261,17 +263,116 @@ SURFACE_CHECKS = {
 }
 
 
+def _system_doc(system: QuadricSystem) -> dict:
+    doc = {
+        "variables": [
+            {
+                "name": v.name,
+                "class": list(v.cls.coords),
+                "weight": list(v.weight),
+            }
+            for v in system.variables
+        ],
+        "quadrics": [
+            {
+                "terms": [
+                    {"coeff": str(coeff), "monomial": list(mono)}
+                    for coeff, mono in quad.terms
+                ]
+            }
+            for quad in system.quadrics
+        ],
+    }
+    if system.substitution is not None:
+        doc["substitution"] = [
+            {"from": src, "scalar": str(scalar), "to": dst}
+            for src, scalar, dst in system.substitution
+        ]
+    return doc
+
+
+def quadrics_entries(lattice: IntersectionLattice, config: SurfaceConfigD | None) -> list[dict]:
+    """The entry ``quadrics`` prints and C6 and C8 check.
+
+    On (E, 3) and (D, 2) it is the tensor factorization of the line module,
+    with the Segre system on (D, 2).  On the D family with n >= 3 it is the
+    surface ideal at the fiber positions ``config`` (read on no other
+    surface), the cone quadric and the certified embedding, whose rescaling
+    must be all nonzero and keep the relation rank at n - 2.
+    """
+    fam = lattice.family
+    if fam.is_appendix_case:
+        report, segre = appendix_tensor_check(lattice)
+        entry = dict(report, check="tensor-factorization")
+        if segre is not None:
+            entry["segre"] = _system_doc(segre)
+        entry["pass"] = report["ok"] and (
+            fam.kind == "E" or (segre is not None and len(segre.quadrics) == 1)
+        )
+        return [entry]
+    if fam.kind != "D" or fam.n < 3:
+        raise ValueError(
+            "quadrics are emitted for the D family with n >= 3 and for "
+            "the rank-drop cases (E,3) and (D,2)"
+        )
+    if config is None:
+        raise ValueError("this command needs --points for the D family")
+    presentation = dn_ideal(lattice, config)
+    cone = cone_quadric_D(lattice)
+    embedded, report = embed_cox_into_cone_D(lattice, config)
+    generators = [
+        {"name": g.name, "class": list(g.cls.coords)} for g in presentation.generators
+    ]
+    relations = [
+        {
+            "class": list(rel.cls.coords),
+            "terms": [
+                {
+                    "coeff": str(coeff),
+                    "monomial": [presentation.generators[i].name for i in mono],
+                }
+                for coeff, mono in rel.terms
+            ],
+        }
+        for rel in presentation.relations
+    ]
+    return [
+        {
+            "check": "surface-ideal-and-cone",
+            "points": [str(t) for t in config.points],
+            "generators": generators,
+            "relations": relations,
+            "cone": _system_doc(cone),
+            "embedding": _system_doc(embedded),
+            "certificate": report,
+            "pass": report["certified"]
+            and all(Fraction(x) != 0 for x in report["c"])
+            and report["rank_before"] == report["rank_after"] == fam.n - 2,
+        }
+    ]
+
+
+# Entry fields a failure detail leaves out: the polynomial systems of a
+# quadrics entry and the full class list of a Hilbert entry.
+_UNSHOWN = ("check", "pass", "family", "classes", "generators", "relations", "cone", "embedding", "segre")
+
+
+def _shown(key: str, value) -> str:
+    """``key value``; a Hilbert entry's mismatches as their count and the
+    first three classes with both numbers, so the detail stays bounded."""
+    if key != "mismatches":
+        return f"{key} {value}"
+    first = ", ".join(f"{m['class']} graded {m['graded']} section {m['section']}" for m in value[:3])
+    return f"mismatches {len(value)}, first {first}"
+
+
 def _failures(lattice: IntersectionLattice, entries: list[dict]) -> list[str]:
     """One detail string per failing entry: the surface, the check and the
-    fields it compared (the full class list of a Hilbert entry is left out)."""
+    fields it compared."""
     label = f"({lattice.family.kind},{lattice.family.n})"
     return [
         f"{label} {entry['check']}: "
-        + ", ".join(
-            f"{key} {value}"
-            for key, value in sorted(entry.items())
-            if key not in ("check", "pass", "family", "classes")
-        )
+        + ", ".join(_shown(key, value) for key, value in sorted(entry.items()) if key not in _UNSHOWN)
         for entry in entries
         if not entry["pass"]
     ]
@@ -417,16 +518,11 @@ def _check_embedding() -> tuple[bool, str]:
     problems = []
     for n in (3, 4, 5):
         lat = _lat("D", n)
-        config = SurfaceConfigD(tuple(Fraction(i) for i in range(n)))
-        _, report = embed_cox_into_cone_D(lat, config)
-        if not report["certified"]:
-            problems.append(f"(D,{n}) membership certificate failed")
-        if any(Fraction(x) == 0 for x in report["c"]):
-            problems.append(f"(D,{n}) zero rescaling coefficient")
-        if report["rank_before"] != n - 2 or report["rank_after"] != n - 2:
-            problems.append(f"(D,{n}) rank pair {report['rank_before']},{report['rank_after']}")
-        if n == 3 and [Fraction(x) for x in report["c"]] != [-1, 2, -1]:
-            problems.append(f"(D,3) ray {report['c']} != (-1, 2, -1)")
+        entries = quadrics_entries(lat, SurfaceConfigD(tuple(Fraction(i) for i in range(n))))
+        problems += _failures(lat, entries)
+        c = entries[0]["certificate"]["c"]
+        if n == 3 and [Fraction(x) for x in c] != [-1, 2, -1]:
+            problems.append(f"(D,3) ray {c} != (-1, 2, -1)")
     return _verdict(
         problems, "cone quadric maps into the surface ideal with all-nonzero rescaling for n = 3, 4, 5"
     )
@@ -474,15 +570,9 @@ def _check_torus_git() -> tuple[bool, str]:
 
 
 def _check_appendix() -> tuple[bool, str]:
-    problems = []
-    report_e3, _ = appendix_tensor_check(_lat("E", 3))
-    if not report_e3["ok"]:
-        problems.append("(E,3) 3x2 factorization failed")
-    report_d2, segre = appendix_tensor_check(_lat("D", 2))
-    if not report_d2["ok"]:
-        problems.append("(D,2) 2x2 factorization or Segre class failed")
-    if segre is None or len(segre.quadrics) != 1:
-        problems.append("(D,2) Segre system missing")
+    problems = [
+        p for lat in (_lat("E", 3), _lat("D", 2)) for p in _failures(lat, quadrics_entries(lat, None))
+    ]
     return _verdict(
         problems, "line modules factor as 3x2 for (E,3) and 2x2 for (D,2) with the Segre quadric in class f"
     )

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from adecox import DivisorClass, IntersectionLattice, SurfaceFamily, build_root_system
+from adecox import DivisorClass, IntersectionLattice, SurfaceConfigD, SurfaceFamily, build_root_system
+from adecox import cox as cox_module
 from adecox import selftest as selftest_module
 from adecox.cli import main
 from adecox.selftest import Check
@@ -429,6 +430,74 @@ def test_one_wrong_prediction_fails_verify_and_selftest(
     assert not result.passed
     assert result.details.startswith(f"(E,{key}) ")
     assert compared in result.details
+
+
+def _uncertified(embed):
+    def fake(lattice, config):
+        system, report = embed(lattice, config)
+        return system, dict(report, certified=False)
+
+    return fake
+
+
+def _not_ok(check):
+    def fake(lattice):
+        report, segre = check(lattice)
+        return dict(report, ok=False), segre
+
+    return fake
+
+
+@pytest.mark.parametrize(
+    "name, spoil, argv, check_id, named",
+    [
+        ("embed_cox_into_cone_D", _uncertified, ["--family", "D", "--n", "3", "--points", "0,1,2"], "C6",
+         "(D,3) surface-ideal-and-cone"),
+        ("appendix_tensor_check", _not_ok, ["--family", "E", "--n", "3"], "C8", "(E,3) tensor-factorization"),
+    ],
+)
+def test_one_failed_certificate_fails_quadrics_and_selftest(
+    capsys, monkeypatch, name, spoil, argv, check_id, named
+):
+    monkeypatch.setattr(selftest_module, name, spoil(getattr(selftest_module, name)))
+    code, out, err = run_cli(capsys, ["quadrics"] + argv)
+    assert code == 1
+    assert err == ""
+    assert [entry["pass"] for entry in json.loads(out)["results"]] == [False]
+    check = next(c for c in selftest_module.CHECKS if c.check_id == check_id)
+    result = check.run()
+    assert not result.passed
+    assert result.details.startswith(f"{named}: ")
+
+
+def _c4_details_with_section_dim_off_by_one(monkeypatch, wrong):
+    """C4's details, and each D surface's mismatches, with ``section_dim``
+    one too high on the classes ``a f + ...`` for which ``wrong(a)`` holds."""
+    section_dim = cox_module.section_dim
+    with monkeypatch.context() as patch:
+        patch.setattr(cox_module, "section_dim", lambda lat, cls: section_dim(lat, cls) + wrong(cls.coords[0]))
+        result = next(c for c in selftest_module.CHECKS if c.check_id == "C4").run()
+        entries = [
+            selftest_module._hilbert_entries(selftest_module._lat("D", n), SurfaceConfigD(tuple(range(n))), 6)
+            for n in (3, 4, 5)
+        ]
+    mismatches = [found[0]["mismatches"] for found in entries]
+    assert not result.passed
+    details = result.details.split("; ")
+    assert [d[:5] for d in details] == ["(D,3)", "(D,4)", "(D,5)"]
+    return details, mismatches
+
+
+def test_hilbert_failure_details_name_the_first_classes_and_stay_bounded(monkeypatch):
+    few = _c4_details_with_section_dim_off_by_one(monkeypatch, lambda a: a == 1)
+    many = _c4_details_with_section_dim_off_by_one(monkeypatch, lambda a: a >= 1)
+    for details, mismatches in (few, many):
+        for detail, found in zip(details, mismatches):
+            shown = ", ".join(f"{m['class']} graded {m['graded']} section {m['section']}" for m in found[:3])
+            assert f"mismatches {len(found)}, first {shown}, ok False" in detail
+    for small, large, found_small, found_large in zip(few[0], many[0], few[1], many[1]):
+        assert len(found_large) > 4 * len(found_small)
+        assert len(large) <= len(small) + 2
 
 
 def _readme_commands():

@@ -547,3 +547,45 @@ def test_new_monomial_sources_match_the_old_bucketing(kind, n):
         for cls in buckets[deg]:
             moved = cls + nudge * (deg + 1)
             assert _class_monomials(pres, moved.coords) == []
+
+
+# ------------------------------------------------------------------
+# Standard-monomial oracle for the D family.  Ordered so that x_i y_i
+# leads (its coefficient t_1 - t_2 is never 0), the relations have pairwise
+# coprime leading terms x_i y_i (i >= 3), so they are a Groebner basis
+# (Buchberger's first criterion) and a piece's dimension is the number of
+# its monomials with no factor x_i y_i, i >= 3.  No rank is computed.
+
+
+def _standard_monomials(lattice, cls):
+    """``(standard, all)`` monomial counts of ``a f + sum c_i l_i`` on D.
+
+    A monomial is its y exponents (a multiset of size a); the x exponents
+    follow as ``c_i + y_i`` and must be nonnegative.
+    """
+    n = lattice.family.n
+    a, s, c = cls.coords[0], cls.coords[1], cls.coords[2:]
+    assert s == 0
+    standard = total = 0
+    for ys in combinations_with_replacement(range(n), a):
+        y = [ys.count(i) for i in range(n)]
+        x = [ci + yi for ci, yi in zip(c, y)]
+        if min(x) >= 0:
+            total += 1
+            standard += all(min(x[i], y[i]) == 0 for i in range(2, n))
+    return standard, total
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_graded_piece_dim_matches_the_standard_monomials(n):
+    lat = _lat("D", n)
+    f, l1, ln = (basis_class(lat, label) for label in ("f", "l1", f"l{n}"))
+    classes = [cls for k in (1, 2, 3) for cls in (f * k, f * k - l1, f * k + ln, f * k - l1 - ln)]
+    for config in (_points(n), _seeded_points(n, seed=n)):
+        pres = dn_ideal(lat, config)
+        carrying = 0
+        for cls in classes:
+            standard, total = _standard_monomials(lat, cls)
+            assert graded_piece_dim(pres, lat, cls) == standard, cls
+            carrying += standard < total
+        assert carrying >= 8
