@@ -207,8 +207,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value starting with "-" for an option, so a point list
+    # such as -1,0,2 is joined to its flag first.
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--points" and not argv[i + 1].startswith("--"):
+            argv[i : i + 2] = [f"--points={argv[i + 1]}"]
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except ValueError as exc:

@@ -642,7 +642,11 @@ class Check:
     fn: Callable[[], tuple[bool, str]]
 
     def run(self) -> CheckResult:
-        passed, details = self.fn()
+        """Run the check; one that raises fails, its details naming the exception."""
+        try:
+            passed, details = self.fn()
+        except Exception as exc:
+            return CheckResult(self.check_id, False, f"raised {type(exc).__name__}: {exc}")
         return CheckResult(self.check_id, passed, details)
 
 

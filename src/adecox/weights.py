@@ -121,18 +121,6 @@ def _reflect_labels(row, w: WeightVector, t: int) -> WeightVector:
     return tuple(y)
 
 
-def _dominant_rep(rows, nu: WeightVector) -> WeightVector:
-    labels = list(nu)
-    rank = len(labels)
-    while True:
-        i = next((i for i in range(rank) if labels[i] < 0), None)
-        if i is None:
-            return tuple(labels)
-        t = labels[i]
-        for j, v in rows[i]:
-            labels[j] -= t * v
-
-
 def _orbit_labels(rows, start: WeightVector) -> set[WeightVector]:
     seen = {start}
     frontier = [start]
@@ -152,21 +140,36 @@ def _orbit_labels(rows, start: WeightVector) -> set[WeightVector]:
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
-def _freudenthal_block(cartan: tuple[tuple[int, ...], ...], lam: WeightVector):
-    """Weight multiplicities of the irreducible with highest weight lam.
+def freudenthal(system: RootSystemData, lam: WeightVector) -> WeightMultiset:
+    """Full weight multiset of the irreducible module with highest weight lam.
+
+    Freudenthal's formula holds for every semisimple Lie algebra, so a
+    decomposable Cartan matrix such as E3 = A2 x A1 needs no split into
+    blocks: the recursion runs on the whole root system.
 
     Steps: enumerate the dominant weights (closure of lam under subtracting
     positive roots while staying dominant, which reaches every dominant
-    weight below lam), then fill in multiplicities by Freudenthal's
-    recursion in order of increasing depth, then expand Weyl orbits.  Depth vectors (coordinates of lam - mu over
-    the simple roots) make the cone membership test exact, and give the
-    norm difference ``<lam + rho, lam + rho> - <mu + rho, mu + rho>`` as
+    weight below lam), then visit them in order of increasing depth, writing
+    each multiplicity to the whole Weyl orbit of its weight as soon as it is
+    known.  Depth vectors (coordinates of lam - mu over the simple roots)
+    make the cone membership test exact, and give the norm difference
+    ``<lam + rho, lam + rho> - <mu + rho, mu + rho>`` as
     ``sum d_i (lam_i + mu_i + 2)``; ``<nu, alpha> = sum c_i nu_i``.
-    """
-    rows = [sparse_entries(row) for row in cartan]
-    pos = _positive_root_coeffs(cartan)
 
-    dom_depth: dict[WeightVector, tuple[int, ...]] = {lam: (0,) * len(cartan)}
+    The recursion for mu reads mult(mu + k alpha) straight from that one
+    table: mu + k alpha lies strictly above mu, and its dominant
+    representative lies above it, so the representative has smaller depth
+    and its orbit was written earlier; a sum that is not a weight reads 0.
+    The highest weight has gap 0 and multiplicity 1.
+    """
+    if len(lam) != system.rank:
+        raise ValueError("weight length does not match the root system rank")
+    if any(x < 0 for x in lam):
+        raise ValueError("weight is not dominant")
+    rows = [sparse_entries(row) for row in system.cartan]
+    pos = _positive_root_coeffs(system.cartan)
+
+    dom_depth: dict[WeightVector, tuple[int, ...]] = {lam: (0,) * system.rank}
     frontier = [lam]
     while frontier:
         fresh = []
@@ -182,43 +185,22 @@ def _freudenthal_block(cartan: tuple[tuple[int, ...], ...], lam: WeightVector):
     support = [(al, sparse_entries(c)) for c, al in pos]
     mult: dict[WeightVector, int] = {}
     for mu in sorted(dom_depth, key=lambda w: (sum(dom_depth[w]), w)):
-        if mu == lam:
-            mult[mu] = 1
-            continue
         depth = dom_depth[mu]
         acc = 0
         for al, nz in support:
             kmax = min(depth[i] // ci for i, ci in nz)
             for k in range(1, kmax + 1):
                 nu = tuple(m + k * a for m, a in zip(mu, al))
-                m_nu = mult.get(_dominant_rep(rows, nu), 0)
+                m_nu = mult.get(nu, 0)
                 if m_nu:
                     acc += 2 * m_nu * sum(ci * nu[i] for i, ci in nz)
         gap = sum(d * (l + m + 2) for d, l, m in zip(depth, lam, mu))
-        value, rem = divmod(acc, gap)
+        value, rem = divmod(acc, gap) if gap else (1, 0)
         if rem or value <= 0:
             raise AssertionError("recursion produced a non-positive multiplicity")
-        mult[mu] = value
-
-    full: dict[WeightVector, int] = {}
-    for mu, m in mult.items():
         for w in _orbit_labels(rows, mu):
-            full[w] = m
-    return tuple(sorted(full.items()))
-
-
-def freudenthal(system: RootSystemData, lam: WeightVector) -> WeightMultiset:
-    """Full weight multiset of the irreducible module with highest weight lam.
-
-    Freudenthal's formula holds for every semisimple Lie algebra, so a
-    decomposable Cartan matrix such as E3 = A2 x A1 needs no split into
-    blocks: the recursion runs on the whole root system.
-    """
-    if len(lam) != system.rank:
-        raise ValueError("weight length does not match the root system rank")
-    if any(x < 0 for x in lam):
-        raise ValueError("weight is not dominant")
-    return WeightMultiset(_freudenthal_block(system.cartan, lam))
+            mult[w] = value
+    return WeightMultiset(tuple(sorted(mult.items())))
 
 
 def is_weyl_invariant(system: RootSystemData, ms: WeightMultiset) -> bool:

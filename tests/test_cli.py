@@ -390,6 +390,63 @@ def test_selftest_reports_failures_with_exit_1(capsys, monkeypatch):
     assert "selftest: 0/1 checks passed" in out
 
 
+def _raiser(exc):
+    def boom(*_args, **_kwargs):
+        raise exc
+
+    return boom
+
+
+@pytest.mark.parametrize(
+    "name,exc,check_id",
+    [
+        ("graded_piece_dim", ValueError("boom"), "C4"),
+        ("decompose_sym2", AssertionError("recursion produced a non-positive multiplicity"), "C2"),
+    ],
+)
+def test_a_raising_check_is_a_fail_row_and_the_others_still_run(capsys, monkeypatch, name, exc, check_id):
+    monkeypatch.setattr(selftest_module, name, _raiser(exc))
+    code, out, err = run_cli(capsys, ["selftest"])
+    assert code == 1
+    assert err == ""
+    rows = out.splitlines()
+    assert len(rows) == 10
+    assert [row.split()[0] for row in rows[:9]] == [check.check_id for check in selftest_module.CHECKS]
+    failed = [row for row in rows if row.split()[1] == "FAIL"]
+    assert len(failed) == 1
+    assert failed[0].startswith(check_id)
+    assert failed[0].endswith(f"raised {type(exc).__name__}: {exc}")
+    assert rows[9] == "selftest: 8/9 checks passed"
+    check = next(check for check in selftest_module.CHECKS if check.check_id == check_id)
+    assert check.run().passed is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quadrics", "--family", "D", "--n", "3", "--points", "{}"],
+        ["verify", "--which", "hilbert", "--family", "D", "--n", "3", "--points", "{}", "--max-degree", "2"],
+    ],
+)
+def test_points_may_start_with_a_minus_sign(capsys, argv):
+    points = "-1/2,0,1" if argv[0] == "verify" else "-1,0,2"
+    spaced = [points if token == "{}" else token for token in argv]
+    code, out, err = run_cli(capsys, spaced)
+    assert code == 0, err
+    joined = [token for token in spaced if token != points]
+    joined[joined.index("--points")] = f"--points={points}"
+    code2, out2, _ = run_cli(capsys, joined)
+    assert code2 == 0
+    assert out == out2
+
+
+def test_points_as_the_last_token_exits_2(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["quadrics", "--family", "D", "--n", "3", "--points"])
+    assert info.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_verify_detects_injected_mismatch(capsys, monkeypatch):
     def fake_decompose(_system):
         report = {

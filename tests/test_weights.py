@@ -31,7 +31,6 @@ from adecox import (
 from adecox.curves import _enumerate_kind
 from adecox.lattice import CACHE_MAXSIZE, pair
 from adecox.roots import _components, _positive_root_coeffs
-from adecox.weights import _freudenthal_block
 from dense_linalg import invert
 
 
@@ -203,6 +202,18 @@ def test_decompose_sym2_e8():
     assert report["w_matches_expected"]
 
 
+def test_decompose_sym2_d40():
+    # Far past the rank the Fraction reference reaches (D9): the recursion
+    # there reads non-dominant multiplicities from the orbit table.
+    n = 40
+    system = _system("D", n)
+    v_part, w_part, report = decompose_sym2(system)
+    assert (report["sym2_total"], v_part.total, w_part.total) == (n * (2 * n + 1), 2 * n * n + n - 1, 1)
+    assert report["w_matches_expected"]
+    lam = tuple(2 * x for x in weight_of(system, line_highest_class(system.lattice)))
+    assert weyl_dim(system, lam) == freudenthal(system, lam).total
+
+
 def test_verify_weight_lemma_reports():
     for kind, n in [("A", 2), ("D", 3), ("E", 5), ("E", 6)]:
         report = verify_weight_lemma(_system(kind, n))
@@ -225,10 +236,11 @@ def test_is_weyl_invariant():
 
 
 def test_module_caches_are_bounded():
-    assert _freudenthal_block.cache_info().maxsize == CACHE_MAXSIZE
+    system = _system("A", 1)
+    assert freudenthal.cache_info().maxsize == CACHE_MAXSIZE
     for k in range(CACHE_MAXSIZE + 20):
-        assert sum(m for _, m in _freudenthal_block(((2,),), (k,))) == k + 1
-    assert _freudenthal_block.cache_info().currsize <= CACHE_MAXSIZE
+        assert freudenthal(system, (k,)).total == k + 1
+    assert freudenthal.cache_info().currsize <= CACHE_MAXSIZE
 
 
 def test_surface_caches_are_bounded():
@@ -248,7 +260,7 @@ def test_surface_caches_are_bounded():
         build_root_system,
         line_weight_multiset,
         ruling_weight_multiset,
-        _freudenthal_block,
+        freudenthal,
     )
     for cache in caches:
         assert cache.cache_info().maxsize == CACHE_MAXSIZE
