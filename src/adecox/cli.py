@@ -36,8 +36,21 @@ from .lattice import IntersectionLattice, SurfaceFamily, build_lattice
 from .selftest import SURFACE_CHECKS, quadrics_entries, run_selftest
 
 
+# Largest n each command accepts; only A and D reach it, since E stops at 8.
+# Each is the largest round n whose costliest run stays near 3 s cold and
+# under 250 MB peak RSS (Python 3.11.7, 2 vCPU Intel Xeon): enumerate
+# --what roots on D100 takes 2.3 s at 236 MB (D150: 7.1 s at 743 MB),
+# verify --which sym2 on D100 2.8 s at 122 MB (D120: 4.7 s at 196 MB), and
+# quadrics on D160 2.9 s at 159 MB (D200: 6.1 s at 275 MB).
+N_LIMITS = {"enumerate": 100, "verify": 100, "quadrics": 160}
+
+
 def _build_lattice_from(args) -> IntersectionLattice:
-    return build_lattice(SurfaceFamily(args.family, args.n))
+    family = SurfaceFamily(args.family, args.n)
+    limit = N_LIMITS[args.command]
+    if family.n > limit:
+        raise ValueError(f"{args.command} accepts n <= {limit}, got {family.label}")
+    return build_lattice(family)
 
 
 def _config_from(args) -> SurfaceConfigD | None:

@@ -26,7 +26,6 @@ picks pivots by smallest column, and that order keeps elimination cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 
@@ -34,6 +33,7 @@ from .curves import KINDS, enumerate_lines, pairs_of_lines_summing_to
 from .lattice import (
     DivisorClass,
     IntersectionLattice,
+    _Frozen,
     basis_class,
     pair,
 )
@@ -51,8 +51,7 @@ MONOMIAL_CAP = 1_000_000
 RAY_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class SurfaceConfigD:
+class SurfaceConfigD(_Frozen):
     """Fiber positions ``t_1, ..., t_n`` on the base line, pairwise distinct.
 
     Distinctness is the lattice-level shadow of choosing the blown-up points
@@ -60,36 +59,44 @@ class SurfaceConfigD:
     two of these values, so distinctness is exactly what keeps them nonzero.
     """
 
-    points: tuple[Fraction, ...]
+    __slots__ = _fields = ("points",)
 
-    def __post_init__(self):
-        pts = tuple(Fraction(p) for p in self.points)
-        object.__setattr__(self, "points", pts)
+    def __init__(self, points: tuple[Fraction, ...]):
+        pts = tuple(Fraction(p) for p in points)
+        self._set(points=pts)
         if len(set(pts)) != len(pts):
             raise ValueError("fiber positions must be pairwise distinct")
 
 
-@dataclass(frozen=True)
-class Generator:
-    name: str
-    cls: DivisorClass
+class Generator(_Frozen):
+    __slots__ = _fields = ("name", "cls")
+
+    def __init__(self, name: str, cls: DivisorClass):
+        self._set(name=name, cls=cls)
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(_Frozen):
     """A homogeneous quadric: terms are (coefficient, generator-index tuple)."""
 
-    terms: tuple[tuple[Fraction, tuple[int, ...]], ...]
-    cls: DivisorClass
+    __slots__ = _fields = ("terms", "cls")
+
+    def __init__(self, terms: tuple[tuple[Fraction, tuple[int, ...]], ...], cls: DivisorClass):
+        self._set(terms=terms, cls=cls)
 
 
-@dataclass(frozen=True)
-class CoxPresentation:
-    lattice: IntersectionLattice
-    generators: tuple[Generator, ...]
-    relations: tuple[Relation, ...]
+class CoxPresentation(_Frozen):
+    # ``_order``, ``_vectors`` and ``_groups`` are derived from the fields
+    # below and take no part in equality, hash or repr.
+    _fields = ("lattice", "generators", "relations")
+    __slots__ = _fields + ("_order", "_vectors", "_groups")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        lattice: IntersectionLattice,
+        generators: tuple[Generator, ...],
+        relations: tuple[Relation, ...],
+    ):
+        self._set(lattice=lattice, generators=generators, relations=relations)
         # _class_monomials reads positions off this layout.
         expected = tuple(cls for _, cls in cox_generators(self.lattice))
         if tuple(g.cls for g in self.generators) != expected:
@@ -114,8 +121,7 @@ class CoxPresentation:
         )
         position = {i: p for p, i in enumerate(order)}
         vectors = tuple(self.generators[i].cls.coords for i in order)
-        object.__setattr__(self, "_order", tuple(order))
-        object.__setattr__(self, "_vectors", vectors)
+        self._set(_order=tuple(order), _vectors=vectors)
         # Relations grouped by class as (class, degree, relations), each term
         # as (integer coefficient, positions); scaling a relation by a
         # nonzero integer leaves every rank unchanged.
@@ -127,10 +133,8 @@ class CoxPresentation:
                 for c, mono in rel.terms
             )
             groups.setdefault(rel.cls.coords, []).append(terms)
-        object.__setattr__(
-            self,
-            "_groups",
-            tuple((cls, len(rels[0][0][1]), tuple(rels)) for cls, rels in groups.items()),
+        self._set(
+            _groups=tuple((cls, len(rels[0][0][1]), tuple(rels)) for cls, rels in groups.items())
         )
 
 
@@ -466,11 +470,11 @@ def verify_hilbert(
     }
 
 
-@dataclass(frozen=True)
-class RelationCensus:
-    monomials: int
-    sections: int
-    relations: int
+class RelationCensus(_Frozen):
+    __slots__ = _fields = ("monomials", "sections", "relations")
+
+    def __init__(self, monomials: int, sections: int, relations: int):
+        self._set(monomials=monomials, sections=sections, relations=relations)
 
 
 def relation_census(lattice: IntersectionLattice, target: DivisorClass) -> RelationCensus:

@@ -20,12 +20,11 @@ Kinds and their defining equations (``.`` is the intersection pairing):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import isqrt
 from operator import sub
 
-from .lattice import CACHE_MAXSIZE, DivisorClass, IntersectionLattice
+from .lattice import CACHE_MAXSIZE, DivisorClass, IntersectionLattice, _Frozen
 
 KINDS = {
     "roots": (-2, 0),
@@ -34,11 +33,13 @@ KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class ClassSet:
-    lattice: IntersectionLattice
-    kind: str
-    classes: tuple[DivisorClass, ...]
+class ClassSet(_Frozen):
+    # ``coord_set`` is a cached_property, which needs an instance __dict__.
+    _fields = ("lattice", "kind", "classes")
+    __slots__ = _fields + ("__dict__",)
+
+    def __init__(self, lattice: IntersectionLattice, kind: str, classes: tuple[DivisorClass, ...]):
+        self._set(lattice=lattice, kind=kind, classes=classes)
 
     def __iter__(self):
         return iter(self.classes)

@@ -18,39 +18,43 @@ on the line classes together with the 2x2 Segre quadric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cox import CoxPresentation, SurfaceConfigD, dn_ideal
 from .curves import enumerate_lines
-from .lattice import DivisorClass, IntersectionLattice, basis_class
+from .lattice import DivisorClass, IntersectionLattice, _Frozen, basis_class
 from .linalg import rational_rank
 from .roots import build_root_system
 from .weights import WeightVector, weight_of
 
 
-@dataclass(frozen=True)
-class QuadricVariable:
-    name: str
-    cls: DivisorClass
-    weight: WeightVector
+class QuadricVariable(_Frozen):
+    __slots__ = _fields = ("name", "cls", "weight")
+
+    def __init__(self, name: str, cls: DivisorClass, weight: WeightVector):
+        self._set(name=name, cls=cls, weight=weight)
 
 
-@dataclass(frozen=True)
-class Quadric:
+class Quadric(_Frozen):
     """Terms are (coefficient, monomial as a sorted tuple of variable names)."""
 
-    terms: tuple[tuple[Fraction, tuple[str, ...]], ...]
+    __slots__ = _fields = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[Fraction, tuple[str, ...]], ...]):
+        self._set(terms=terms)
 
 
-@dataclass(frozen=True)
-class QuadricSystem:
-    variables: tuple[QuadricVariable, ...]
-    quadrics: tuple[Quadric, ...]
-    # Entries (source, scalar, target) encoding source -> scalar * target.
-    substitution: tuple[tuple[str, Fraction, str], ...] | None = None
+class QuadricSystem(_Frozen):
+    __slots__ = _fields = ("variables", "quadrics", "substitution")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        variables: tuple[QuadricVariable, ...],
+        quadrics: tuple[Quadric, ...],
+        # Entries (source, scalar, target) encoding source -> scalar * target.
+        substitution: tuple[tuple[str, Fraction, str], ...] | None = None,
+    ):
+        self._set(variables=variables, quadrics=quadrics, substitution=substitution)
         weights = {v.name: v.weight for v in self.variables}
         for q in self.quadrics:
             if not q.terms:
@@ -154,7 +158,7 @@ def embed_cox_into_cone_D(
 
     cone = cone_quadric_D(lattice)
     # x_i and y_i carry the classes and weights of the cone's X_i and Y_i.
-    cox_vars = tuple(replace(v, name=v.name.lower()) for v in cone.variables)
+    cox_vars = tuple(QuadricVariable(v.name.lower(), v.cls, v.weight) for v in cone.variables)
     image_terms = []
     substitution = []
     for i in range(1, n + 1):

@@ -24,7 +24,6 @@ cases come out under their isomorphic names: (E,3) -> A2xA1, (E,4) -> A4,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .curves import ClassSet
@@ -32,6 +31,7 @@ from .lattice import (
     CACHE_MAXSIZE,
     DivisorClass,
     IntersectionLattice,
+    _Frozen,
     basis_class,
     gram_vector,
     pair,
@@ -39,20 +39,43 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class RootSystemData:
-    lattice: IntersectionLattice
-    simple_roots: tuple[DivisorClass, ...]
-    cartan: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[DivisorClass, ...]
-    type_label: str
-    # Coefficients of each positive root over the simple roots, aligned with
-    # ``positive_roots``.
-    root_coeffs: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    # Sparse covector ``gram . alpha_i`` of each simple root, as
+class RootSystemData(_Frozen):
+    # ``root_coeffs`` holds the coefficients of each positive root over the
+    # simple roots, aligned with ``positive_roots``.  ``simple_covectors``
+    # holds the sparse covector ``gram . alpha_i`` of each simple root, as
     # ``(coordinate, entry)`` pairs: pairing a class with ``alpha_i`` is a
-    # dot product with it.
-    simple_covectors: tuple[tuple[tuple[int, int], ...], ...] = field(compare=False, repr=False)
+    # dot product with it.  Neither takes part in equality, hash or repr.
+    # The hash is taken once: lru caches key on root systems, and hashing
+    # every positive root per call cost milliseconds at large rank.
+    _fields = ("lattice", "simple_roots", "cartan", "positive_roots", "type_label")
+    __slots__ = _fields + ("root_coeffs", "simple_covectors", "_hash")
+
+    def __init__(
+        self,
+        lattice: IntersectionLattice,
+        simple_roots: tuple[DivisorClass, ...],
+        cartan: tuple[tuple[int, ...], ...],
+        positive_roots: tuple[DivisorClass, ...],
+        type_label: str,
+        root_coeffs: tuple[tuple[int, ...], ...],
+        simple_covectors: tuple[tuple[tuple[int, int], ...], ...],
+    ):
+        self._set(
+            lattice=lattice,
+            simple_roots=simple_roots,
+            cartan=cartan,
+            positive_roots=positive_roots,
+            type_label=type_label,
+            root_coeffs=root_coeffs,
+            simple_covectors=simple_covectors,
+        )
+        self._set(_hash=hash(self._values()))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return RootSystemData, self._values() + (self.root_coeffs, self.simple_covectors)
 
     @property
     def rank(self) -> int:

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 from itertools import product as iterproduct
-from typing import Callable
 
 from .cox import (
     SurfaceConfigD,
@@ -45,6 +44,7 @@ from .lattice import (
     DivisorClass,
     IntersectionLattice,
     SurfaceFamily,
+    _Frozen,
     basis_class,
     build_lattice,
     gram_vector,
@@ -628,18 +628,18 @@ def _check_oracles() -> tuple[bool, str]:
     )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    passed: bool
-    details: str
+class CheckResult(_Frozen):
+    __slots__ = _fields = ("check_id", "passed", "details")
+
+    def __init__(self, check_id: str, passed: bool, details: str):
+        self._set(check_id=check_id, passed=passed, details=details)
 
 
-@dataclass(frozen=True)
-class Check:
-    check_id: str
-    description: str
-    fn: Callable[[], tuple[bool, str]]
+class Check(_Frozen):
+    __slots__ = _fields = ("check_id", "description", "fn")
+
+    def __init__(self, check_id: str, description: str, fn: Callable[[], tuple[bool, str]]):
+        self._set(check_id=check_id, description=description, fn=fn)
 
     def run(self) -> CheckResult:
         """Run the check; one that raises fails, its details naming the exception."""

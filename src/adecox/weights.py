@@ -27,21 +27,29 @@ weight for (E, 8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .curves import enumerate_lines, enumerate_rulings
-from .lattice import CACHE_MAXSIZE, DivisorClass, IntersectionLattice, basis_class, sparse_entries
+from .lattice import (
+    CACHE_MAXSIZE,
+    DivisorClass,
+    IntersectionLattice,
+    _Frozen,
+    basis_class,
+    sparse_entries,
+)
 from .roots import RootSystemData, _positive_root_coeffs
 
 WeightVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class WeightMultiset:
+class WeightMultiset(_Frozen):
     """A finite multiset of weight vectors with positive multiplicities."""
 
-    entries: tuple[tuple[WeightVector, int], ...]
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[WeightVector, int], ...]):
+        self._set(entries=entries)
 
     @staticmethod
     def from_dict(d: dict[WeightVector, int]) -> "WeightMultiset":

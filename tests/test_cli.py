@@ -12,7 +12,7 @@ import pytest
 from adecox import DivisorClass, IntersectionLattice, SurfaceConfigD, SurfaceFamily, build_root_system
 from adecox import cox as cox_module
 from adecox import selftest as selftest_module
-from adecox.cli import main
+from adecox.cli import N_LIMITS, main
 from adecox.selftest import Check
 
 
@@ -277,6 +277,28 @@ def test_invalid_inputs_exit_2(capsys):
     )
     assert code2 == 2
     assert "distinct" in err2
+
+
+@pytest.mark.parametrize("family", ["A", "D"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--what", "roots"],
+        ["verify", "--which", "sym2"],
+        ["verify", "--which", "weights"],
+        ["verify", "--which", "census"],
+        ["quadrics", "--points", "0,1,2"],
+    ],
+    ids=" ".join,
+)
+def test_n_past_the_command_limit_exits_2_at_once(capsys, argv, family):
+    limit = N_LIMITS[argv[0]]
+    for n in (limit + 1, 10**9):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv + ["--family", family, "--n", str(n)])
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err == f"error: {argv[0]} accepts n <= {limit}, got {family}{n}\n"
 
 
 def test_cli_output_is_deterministic():

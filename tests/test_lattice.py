@@ -129,7 +129,7 @@ def test_divisor_class_algebra():
     assert (a * 2).coords == (2, 4, 6)
     assert not a.is_zero()
     assert DivisorClass((0, 0, 0)).is_zero()
-    # Frozen dataclasses hash by value, so classes work as dict keys.
+    # Divisor classes hash by their coordinates, so they work as dict keys.
     assert {a: 1}[DivisorClass((1, 2, 3))] == 1
 
 

@@ -1,6 +1,8 @@
 """Properties of the package source itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import adecox
@@ -54,3 +56,18 @@ def test_every_top_level_definition_is_used_or_exported():
         )
     ]
     assert unused == []
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # Every CLI call is a cold process, so import cost is part of every
+    # answer; dataclasses (with inspect) once made up most of it.  -S -E
+    # keeps site and PYTHON* variables from loading modules first.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import adecox; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-E", "-c", code, str(PACKAGE.parent)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.split() == []
