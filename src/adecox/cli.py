@@ -58,8 +58,13 @@ def _config_from(args) -> SurfaceConfigD | None:
     if args.points is None:
         return None
     text = args.points
+    tokens = [token.strip() for token in text.split(",") if token.strip()]
+    # Fraction expands 1eN to 10**N with no bound on N; every other literal's
+    # digits stay under int's 4,300-digit limit.
+    if any("e" in token or "E" in token for token in tokens):
+        raise ValueError(f"cannot parse points {text!r}: exponent notation is not accepted")
     try:
-        points = tuple(Fraction(token.strip()) for token in text.split(",") if token.strip())
+        points = tuple(Fraction(token) for token in tokens)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse points {text!r}: {exc}") from exc
     return SurfaceConfigD(points)

@@ -45,6 +45,10 @@ from .weights import WeightVector, weight_of
 # for one class (and for each shift class), and most verify_hilbert may hold
 # in its per-call table.  In process, graded_piece_dim takes 0.23 s at 35 MB
 # peak RSS on D3 at 100f (1,030,200 positions), 1.8 s at 151 MB at 200f (8.1 M).
+# verify_hilbert also refuses a report whose classes times rank pass it,
+# before any rank work: A40 to degree 4 fits the table (581,790 positions)
+# but has 148,995 classes (6,257,790 coordinates); cold, it took 9.7 s at
+# 771 MB and wrote 112 MB of JSON.  A24 (617,526) runs in 0.8 s cold.
 MONOMIAL_CAP = 1_000_000
 # Longest ray git_hilbert walks.  In process, verify --which git without
 # points takes 0.06 s at 20 MB to 10,000 and 0.42 s at 53 MB to 100,000.
@@ -62,26 +66,19 @@ class SurfaceConfigD(_Frozen):
     __slots__ = _fields = ("points",)
 
     def __init__(self, points: tuple[Fraction, ...]):
-        pts = tuple(Fraction(p) for p in points)
-        self._set(points=pts)
-        if len(set(pts)) != len(pts):
+        super().__init__(tuple(Fraction(p) for p in points))
+        if len(set(self.points)) != len(self.points):
             raise ValueError("fiber positions must be pairwise distinct")
 
 
 class Generator(_Frozen):
     __slots__ = _fields = ("name", "cls")
 
-    def __init__(self, name: str, cls: DivisorClass):
-        self._set(name=name, cls=cls)
-
 
 class Relation(_Frozen):
     """A homogeneous quadric: terms are (coefficient, generator-index tuple)."""
 
     __slots__ = _fields = ("terms", "cls")
-
-    def __init__(self, terms: tuple[tuple[Fraction, tuple[int, ...]], ...], cls: DivisorClass):
-        self._set(terms=terms, cls=cls)
 
 
 class CoxPresentation(_Frozen):
@@ -96,7 +93,7 @@ class CoxPresentation(_Frozen):
         generators: tuple[Generator, ...],
         relations: tuple[Relation, ...],
     ):
-        self._set(lattice=lattice, generators=generators, relations=relations)
+        super().__init__(lattice, generators, relations)
         # _class_monomials reads positions off this layout.
         expected = tuple(cls for _, cls in cox_generators(self.lattice))
         if tuple(g.cls for g in self.generators) != expected:
@@ -434,13 +431,19 @@ def verify_hilbert(
     degree at most ``max_degree`` is checked; the report carries each class
     with both numbers and the list of mismatches (empty on success).  All
     monomials come from one table per call, whose positions ``MONOMIAL_CAP``
-    bounds.
+    bounds; it bounds the report's classes times rank too.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     if lattice != presentation.lattice:
         raise ValueError("lattice does not match the presentation")
     levels = _monomial_table(presentation, max_degree)
+    classes = sum(map(len, levels))
+    if classes * lattice.rank > MONOMIAL_CAP:
+        raise ValueError(
+            f"hilbert report of {classes} classes of rank {lattice.rank} up to degree "
+            f"{max_degree} exceeds the cap {MONOMIAL_CAP}"
+        )
     checked = []
     mismatches = []
     for deg, level in enumerate(levels):
@@ -472,9 +475,6 @@ def verify_hilbert(
 
 class RelationCensus(_Frozen):
     __slots__ = _fields = ("monomials", "sections", "relations")
-
-    def __init__(self, monomials: int, sections: int, relations: int):
-        self._set(monomials=monomials, sections=sections, relations=relations)
 
 
 def relation_census(lattice: IntersectionLattice, target: DivisorClass) -> RelationCensus:

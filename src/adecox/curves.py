@@ -38,9 +38,6 @@ class ClassSet(_Frozen):
     _fields = ("lattice", "kind", "classes")
     __slots__ = _fields + ("__dict__",)
 
-    def __init__(self, lattice: IntersectionLattice, kind: str, classes: tuple[DivisorClass, ...]):
-        self._set(lattice=lattice, kind=kind, classes=classes)
-
     def __iter__(self):
         return iter(self.classes)
 

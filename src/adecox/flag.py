@@ -22,26 +22,20 @@ from fractions import Fraction
 
 from .cox import CoxPresentation, SurfaceConfigD, dn_ideal
 from .curves import enumerate_lines
-from .lattice import DivisorClass, IntersectionLattice, _Frozen, basis_class
+from .lattice import IntersectionLattice, _Frozen, basis_class
 from .linalg import rational_rank
 from .roots import build_root_system
-from .weights import WeightVector, weight_of
+from .weights import weight_of
 
 
 class QuadricVariable(_Frozen):
     __slots__ = _fields = ("name", "cls", "weight")
-
-    def __init__(self, name: str, cls: DivisorClass, weight: WeightVector):
-        self._set(name=name, cls=cls, weight=weight)
 
 
 class Quadric(_Frozen):
     """Terms are (coefficient, monomial as a sorted tuple of variable names)."""
 
     __slots__ = _fields = ("terms",)
-
-    def __init__(self, terms: tuple[tuple[Fraction, tuple[str, ...]], ...]):
-        self._set(terms=terms)
 
 
 class QuadricSystem(_Frozen):
@@ -54,7 +48,7 @@ class QuadricSystem(_Frozen):
         # Entries (source, scalar, target) encoding source -> scalar * target.
         substitution: tuple[tuple[str, Fraction, str], ...] | None = None,
     ):
-        self._set(variables=variables, quadrics=quadrics, substitution=substitution)
+        super().__init__(variables, quadrics, substitution)
         weights = {v.name: v.weight for v in self.variables}
         for q in self.quadrics:
             if not q.terms:

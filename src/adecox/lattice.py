@@ -19,7 +19,7 @@ degenerate small-rank cases; they are supported but flagged.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 E_RANGE = range(3, 9)
 
@@ -33,14 +33,17 @@ class _Frozen:
     """Base of the package's immutable value classes.
 
     A subclass names its attributes in ``__slots__`` and, in constructor
-    order, the ones that make up its value in ``_fields``; its ``__init__``
-    sets them once through ``_set``.  Equality, hash and repr read
-    ``_fields`` only, as a frozen dataclass's do: an instance equals only
-    an instance of the same class with equal fields, hashes as the tuple of
-    its fields, and shows as ``Name(field=value, ...)``.  Assigning or
-    deleting an attribute afterwards raises ``AttributeError``.  Copies
-    and pickles are rebuilt through ``__init__``, which recomputes derived
-    attributes (a cached string hash differs between processes).
+    order, the ones that make up its value in ``_fields``.  The base
+    ``__init__`` binds ``_fields`` to positional and keyword arguments, as
+    a dataclass constructor does; a subclass that validates or derives
+    passes its fields on positionally and sets derived attributes through
+    ``_set``.  Equality, hash and repr read ``_fields`` only, as a frozen
+    dataclass's do: an instance equals only an instance of the same class
+    with equal fields, hashes as the tuple of its fields, and shows as
+    ``Name(field=value, ...)``.  Assigning or deleting an attribute
+    afterwards raises ``AttributeError``.  Copies and pickles are rebuilt
+    through ``__init__``, which recomputes derived attributes (a cached
+    string hash differs between processes).
 
     The package does not use :mod:`dataclasses`: importing it (with
     :mod:`inspect`) and decorating 16 classes took about 27 ms of every cold
@@ -49,6 +52,24 @@ class _Frozen:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            name = self.__class__.__qualname__
+            if len(args) > len(fields):
+                raise TypeError(f"{name}() takes {len(fields)} arguments, got {len(args)}")
+            for key in kwargs:
+                if key not in fields:
+                    raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+                if fields.index(key) < len(args):
+                    raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            missing = [key for key in fields[len(args) :] if key not in kwargs]
+            if missing:
+                raise TypeError(f"{name}() missing arguments: {', '.join(missing)}")
+            args += tuple(kwargs[key] for key in fields[len(args) :])
+        for field, value in zip(fields, args):
+            object.__setattr__(self, field, value)
 
     def _set(self, **values) -> None:
         for name, value in values.items():
@@ -81,12 +102,14 @@ class _Frozen:
         return self.__class__, self._values()
 
 
+@total_ordering
 class DivisorClass(_Frozen):
     """An integer coordinate vector with respect to a lattice basis.
 
-    Classes compare, hash and sort by their coordinate tuple; these methods
-    are written out because classes are built and compared in the inner
-    loops.
+    Classes compare, hash and sort by their coordinate tuple.  ``__init__``,
+    ``__eq__``, ``__hash__`` and ``__lt__`` are written out because classes
+    are built, hashed and sorted in the inner loops; ``<=``, ``>`` and
+    ``>=`` are derived from ``<``.
     """
 
     __slots__ = _fields = ("coords",)
@@ -105,21 +128,6 @@ class DivisorClass(_Frozen):
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return self.coords < other.coords
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return self.coords <= other.coords
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return self.coords > other.coords
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return self.coords >= other.coords
         return NotImplemented
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
@@ -155,7 +163,7 @@ class SurfaceFamily(_Frozen):
             raise ValueError("D family needs n >= 2")
         if kind == "E" and n not in E_RANGE:
             raise ValueError("E family needs 3 <= n <= 8")
-        self._set(kind=kind, n=n)
+        super().__init__(kind, n)
 
     @property
     def rank(self) -> int:
@@ -186,7 +194,7 @@ class IntersectionLattice(_Frozen):
         K: DivisorClass,
         C: DivisorClass,
     ):
-        self._set(family=family, basis_labels=basis_labels, gram=gram, K=K, C=C)
+        super().__init__(family, basis_labels, gram, K, C)
         self._set(c_covector=sparse_entries(gram_vector(self, C)), _hash=hash(self._values()))
 
     def __hash__(self) -> int:

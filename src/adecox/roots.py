@@ -60,16 +60,8 @@ class RootSystemData(_Frozen):
         root_coeffs: tuple[tuple[int, ...], ...],
         simple_covectors: tuple[tuple[tuple[int, int], ...], ...],
     ):
-        self._set(
-            lattice=lattice,
-            simple_roots=simple_roots,
-            cartan=cartan,
-            positive_roots=positive_roots,
-            type_label=type_label,
-            root_coeffs=root_coeffs,
-            simple_covectors=simple_covectors,
-        )
-        self._set(_hash=hash(self._values()))
+        super().__init__(lattice, simple_roots, cartan, positive_roots, type_label)
+        self._set(root_coeffs=root_coeffs, simple_covectors=simple_covectors, _hash=hash(self._values()))
 
     def __hash__(self) -> int:
         return self._hash

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 import sys
-from collections.abc import Callable
 from fractions import Fraction
 from itertools import product as iterproduct
 
@@ -631,15 +630,9 @@ def _check_oracles() -> tuple[bool, str]:
 class CheckResult(_Frozen):
     __slots__ = _fields = ("check_id", "passed", "details")
 
-    def __init__(self, check_id: str, passed: bool, details: str):
-        self._set(check_id=check_id, passed=passed, details=details)
-
 
 class Check(_Frozen):
     __slots__ = _fields = ("check_id", "description", "fn")
-
-    def __init__(self, check_id: str, description: str, fn: Callable[[], tuple[bool, str]]):
-        self._set(check_id=check_id, description=description, fn=fn)
 
     def run(self) -> CheckResult:
         """Run the check; one that raises fails, its details naming the exception."""

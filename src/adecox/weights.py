@@ -48,9 +48,6 @@ class WeightMultiset(_Frozen):
 
     __slots__ = _fields = ("entries",)
 
-    def __init__(self, entries: tuple[tuple[WeightVector, int], ...]):
-        self._set(entries=entries)
-
     @staticmethod
     def from_dict(d: dict[WeightVector, int]) -> "WeightMultiset":
         for w, m in d.items():

@@ -612,3 +612,54 @@ def test_corrupted_lattice_is_rejected():
     )
     with pytest.raises(AssertionError):
         build_root_system(broken)
+
+
+@pytest.mark.parametrize("points", ["0,1,1e30000000", "0,1E3,2", "-2.5e-1,0,1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quadrics", "--family", "D", "--n", "3", "--points", "{}"],
+        ["verify", "--which", "hilbert", "--family", "D", "--n", "3", "--points", "{}", "--max-degree", "2"],
+        ["verify", "--which", "git", "--family", "D", "--n", "3", "--points", "{}", "--max-degree", "2"],
+    ],
+    ids=lambda argv: " ".join(argv[:3]),
+)
+def test_points_in_exponent_notation_exit_2_at_once(capsys, argv, points):
+    # Fraction("1e30000000") would build 10**30000000 before any check.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, [points if token == "{}" else token for token in argv])
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err == f"error: cannot parse points {points!r}: exponent notation is not accepted\n"
+
+
+@pytest.mark.parametrize("points", ["+0,-1.5,3/7", "0,-3/2,0.428571", "-0.5,+2,7"])
+def test_points_take_integers_fractions_signs_and_decimals(capsys, points):
+    argv = ["verify", "--which", "hilbert", "--family", "D", "--n", "3", "--max-degree", "2"]
+    code, out, err = run_cli(capsys, argv + ["--points", points])
+    assert code == 0, err
+    assert json.loads(out)["results"][0]["pass"]
+
+
+def test_verify_hilbert_refuses_a_report_past_the_cap_before_any_rank_work(capsys, monkeypatch):
+    # A40 to degree 4: 148,995 classes of rank 42, 6,257,790 coordinates,
+    # although its monomial table (581,790 positions) fits under the cap.
+    def no_rank_work(*args):
+        raise AssertionError("rank work before the refusal")
+
+    monkeypatch.setattr(cox_module, "_piece_dim", no_rank_work)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["verify", "--which", "hilbert", "--family", "A", "--n", "40"])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == (
+        "error: hilbert report of 148995 classes of rank 42 up to degree 4 exceeds the cap 1000000\n"
+    )
+
+
+def test_verify_hilbert_still_reports_a24_under_the_cap(capsys):
+    code, out, err = run_cli(capsys, ["verify", "--which", "hilbert", "--family", "A", "--n", "24"])
+    assert code == 0, err
+    entry = json.loads(out)["results"][0]
+    assert entry["classes_checked"] * 26 == 617_526 <= cox_module.MONOMIAL_CAP
+    assert entry["pass"]

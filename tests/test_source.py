@@ -71,3 +71,51 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert done.stdout.split() == []
+
+
+def _stores_only_its_parameters(init: ast.FunctionDef) -> bool:
+    """Whether the body of ``init`` is one call passing on its parameters.
+
+    ``self._set(a=a)``, ``super().__init__(a)`` and
+    ``object.__setattr__(self, "a", a)`` all qualify: each only stores what
+    the base ``_Frozen.__init__`` already binds.
+    """
+    params = {arg.arg for arg in init.args.args + init.args.kwonlyargs}
+    body = init.body[1:] if ast.get_docstring(init) is not None else init.body
+    if len(body) != 1 or not isinstance(body[0], ast.Expr):
+        return False
+    call = body[0].value
+    if not isinstance(call, ast.Call):
+        return False
+    values = call.args + [keyword.value for keyword in call.keywords]
+    return all(
+        (isinstance(value, ast.Name) and value.id in params)
+        or (isinstance(value, ast.Constant) and isinstance(value.value, str))
+        for value in values
+    )
+
+
+def test_no_value_class_writes_out_a_constructor_that_only_stores_its_fields():
+    # _Frozen.__init__ binds _fields from positional and keyword arguments;
+    # a subclass writes __init__ only to validate, convert or derive.
+    # DivisorClass keeps its one-line constructor: classes are built in the
+    # inner loops, where packing arguments and looping over fields costs.
+    subclasses, boilerplate = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef) or not any(
+                isinstance(base, ast.Name) and base.id == "_Frozen" for base in node.bases
+            ):
+                continue
+            subclasses.append(node.name)
+            for item in node.body:
+                if (
+                    isinstance(item, ast.FunctionDef)
+                    and item.name == "__init__"
+                    and node.name != "DivisorClass"
+                    and _stores_only_its_parameters(item)
+                ):
+                    boilerplate.append(f"{path.name}:{node.name}")
+    assert len(subclasses) == 16
+    assert boilerplate == []

@@ -20,6 +20,7 @@ import pytest
 
 import adecox as A
 from adecox import selftest
+from adecox.lattice import _Frozen
 
 
 @dataclass(frozen=True, order=True)
@@ -303,3 +304,45 @@ def test_constructors_validate_with_the_same_messages(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+BASE_CONSTRUCTED = [cls for cls in TWINS if cls.__init__ is _Frozen.__init__]
+
+
+def test_the_classes_that_only_store_their_fields_use_the_base_constructor():
+    assert sorted(cls.__name__ for cls in BASE_CONSTRUCTED) == [
+        "Check",
+        "CheckResult",
+        "ClassSet",
+        "Generator",
+        "Quadric",
+        "QuadricVariable",
+        "Relation",
+        "RelationCensus",
+        "WeightMultiset",
+    ]
+
+
+@pytest.mark.parametrize("cls", BASE_CONSTRUCTED, ids=lambda c: c.__name__)
+def test_bad_arguments_raise_type_error_naming_the_class_as_the_dataclass(cls):
+    obj = _by_class()[cls][0]
+    kwargs = _init_kwargs(obj)
+    values = list(kwargs.values())
+    first, *rest = kwargs
+    bad_calls = {
+        "too many": lambda c: c(*values, 0),
+        "missing positional": lambda c: c(*values[:-1]),
+        "missing keyword": lambda c: c(**{k: v for k, v in kwargs.items() if k != first}),
+        "unknown": lambda c: c(*values, not_a_field=0),
+        "unknown only": lambda c: c(not_a_field=0),
+        "repeated": lambda c: c(*values, **{first: values[0]}),
+        "repeated, rest missing": lambda c: c(values[0], **{first: values[0]}),
+    }
+    for what, call in bad_calls.items():
+        for target in (cls, TWINS[cls]):
+            with pytest.raises(TypeError) as info:
+                call(target)
+            if target is cls:
+                assert cls.__name__ in str(info.value), what
+    mixed = cls(values[0], **{k: kwargs[k] for k in rest})
+    assert mixed == obj and repr(mixed) == repr(obj) and hash(mixed) == hash(obj)
