@@ -27,6 +27,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -58,16 +59,20 @@ def _config_from(args) -> SurfaceConfigD | None:
     if args.points is None:
         return None
     text = args.points
-    tokens = [token.strip() for token in text.split(",") if token.strip()]
+    if not isinstance(text, str):  # argparse turns --points=-- into []
+        raise ValueError("--points takes one comma separated list of rationals")
+    tokens = [token.strip() for token in text.split(",")]
     # Fraction expands 1eN to 10**N with no bound on N; every other literal's
     # digits stay under int's 4,300-digit limit.
     if any("e" in token or "E" in token for token in tokens):
         raise ValueError(f"cannot parse points {text!r}: exponent notation is not accepted")
+    for token in tokens:
+        if not re.fullmatch(r"[+-]?[0-9]+([./][0-9]+)?", token):
+            raise ValueError(f"cannot parse points {text!r}: {token!r} is not an integer, p/q or decimal")
     try:
-        points = tuple(Fraction(token) for token in tokens)
-    except (ValueError, ZeroDivisionError) as exc:
+        return SurfaceConfigD(tuple(Fraction(token) for token in tokens))
+    except ZeroDivisionError as exc:
         raise ValueError(f"cannot parse points {text!r}: {exc}") from exc
-    return SurfaceConfigD(points)
 
 
 def _write_out(path: str, text: str) -> None:

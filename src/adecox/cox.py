@@ -82,10 +82,10 @@ class Relation(_Frozen):
 
 
 class CoxPresentation(_Frozen):
-    # ``_order``, ``_vectors`` and ``_groups`` are derived from the fields
-    # below and take no part in equality, hash or repr.
+    # ``_vectors`` and ``_groups`` are derived from the fields below and take
+    # no part in equality, hash or repr.
     _fields = ("lattice", "generators", "relations")
-    __slots__ = _fields + ("_order", "_vectors", "_groups")
+    __slots__ = _fields + ("_vectors", "_groups")
 
     def __init__(
         self,
@@ -118,7 +118,7 @@ class CoxPresentation(_Frozen):
         )
         position = {i: p for p, i in enumerate(order)}
         vectors = tuple(self.generators[i].cls.coords for i in order)
-        self._set(_order=tuple(order), _vectors=vectors)
+        self._set(_vectors=vectors)
         # Relations grouped by class as (class, degree, relations), each term
         # as (integer coefficient, positions); scaling a relation by a
         # nonzero integer leaves every rank unchanged.
@@ -280,7 +280,7 @@ def _class_monomials(
 ) -> list[tuple[int, ...]]:
     """Position tuples of the monomials of class ``target``, listed in closed form.
 
-    Positions follow the `cox_generators` layout in ``_order``.  A family:
+    Positions follow the layout of ``_vectors``.  A family:
     position ``i - 1`` is ``x_i = l_i``, so the class has the one monomial
     ``prod x_i^{c_i}``, or none if some ``c_i < 0``.  D family: ``x_i`` sits
     at ``2(i - 1)`` and ``y_i`` at ``2(i - 1) + 1``.  For
@@ -437,13 +437,16 @@ def verify_hilbert(
         raise ValueError("max_degree must be nonnegative")
     if lattice != presentation.lattice:
         raise ValueError("lattice does not match the presentation")
-    levels = _monomial_table(presentation, max_degree)
-    classes = sum(map(len, levels))
+    # Each A monomial is its own class, so A counts its classes before listing
+    # any; a D table always holds the degree-0 class, so its sum is never 0.
+    levels = [] if lattice.family.kind == "A" else _monomial_table(presentation, max_degree)
+    classes = sum(map(len, levels)) or math.comb(len(presentation.generators) + max_degree, max_degree)
     if classes * lattice.rank > MONOMIAL_CAP:
         raise ValueError(
             f"hilbert report of {classes} classes of rank {lattice.rank} up to degree "
             f"{max_degree} exceeds the cap {MONOMIAL_CAP}"
         )
+    levels = levels or _monomial_table(presentation, max_degree)
     checked = []
     mismatches = []
     for deg, level in enumerate(levels):

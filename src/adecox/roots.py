@@ -20,6 +20,9 @@ E6, E7 and E8.  No other count occurs, since the root closure only ends on
 a finite (ADE) system, and A3 = D3, with six, is named A3.  So the small
 cases come out under their isomorphic names: (E,3) -> A2xA1, (E,4) -> A4,
 (E,5) -> D5, (D,2) -> A1xA1, (D,3) -> A3.
+
+Every Weyl orbit is walked by `_orbit_labels`, a breadth-first closure on
+Dynkin labels; `weyl_orbit` carries the class coordinates along.
 """
 
 from __future__ import annotations
@@ -224,27 +227,50 @@ def reflect(lattice: IntersectionLattice, x: DivisorClass, alpha: DivisorClass) 
     return x + pair(lattice, x, alpha) * alpha
 
 
-def weyl_orbit(system: RootSystemData, seed: DivisorClass) -> ClassSet:
-    """Closure of a class under all simple reflections, sorted."""
-    reflections = [
-        (cov, sparse_entries(a.coords))
-        for cov, a in zip(system.simple_covectors, system.simple_roots)
-    ]
-    seen = {seed.coords}
-    frontier = [seed.coords]
+def weight_of(system: RootSystemData, d: DivisorClass) -> tuple[int, ...]:
+    """Dynkin labels of a class: ``(-D . alpha_i)`` over the simple roots."""
+    x = d.coords
+    if len(x) != system.lattice.rank:
+        raise ValueError("coordinate length does not match the lattice rank")
+    return tuple(-sum(x[k] * v for k, v in cov) for cov in system.simple_covectors)
+
+
+def _reflect_labels(row, w: tuple[int, ...], t: int) -> tuple[int, ...]:
+    """Labels of ``s_i(w)`` given the sparse Cartan row ``i`` and ``t = w_i``."""
+    y = list(w)
+    for j, v in row:
+        y[j] -= t * v
+    return tuple(y)
+
+
+def _orbit_labels(rows, start: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Breadth-first closure under the simple reflections; move ``i`` is Cartan
+    row ``i``, and `weyl_orbit` extends it past the labels to the class."""
+    seen = {start}
+    frontier = [start]
     while frontier:
         fresh = []
-        for x in frontier:
-            for cov, alpha in reflections:
-                t = sum(x[k] * v for k, v in cov)
-                if t:
-                    y = list(x)
-                    for k, v in alpha:
-                        y[k] += t * v
-                    y = tuple(y)
-                    if y not in seen:
-                        seen.add(y)
-                        fresh.append(y)
+        for w in frontier:
+            for i, row in enumerate(rows):
+                t = w[i]
+                if t == 0:
+                    continue
+                y = _reflect_labels(row, w, t)
+                if y not in seen:
+                    seen.add(y)
+                    fresh.append(y)
         frontier = fresh
-    classes = tuple(DivisorClass(c) for c in sorted(seen))
+    return seen
+
+
+def weyl_orbit(system: RootSystemData, seed: DivisorClass) -> ClassSet:
+    """Closure of a class under all simple reflections, sorted; walked on
+    states ``labels + coords``, as ``s_i(x) = x - w_i alpha_i``."""
+    rank = system.rank
+    moves = [
+        sparse_entries(row) + tuple((rank + k, v) for k, v in sparse_entries(a.coords))
+        for row, a in zip(system.cartan, system.simple_roots)
+    ]
+    states = _orbit_labels(moves, weight_of(system, seed) + seed.coords)
+    classes = tuple(DivisorClass(c) for c in sorted(s[rank:] for s in states))
     return ClassSet(lattice=system.lattice, kind="orbit", classes=classes)

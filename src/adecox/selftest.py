@@ -232,14 +232,13 @@ def _git_entries(
     """Invariant dimensions along ``f`` (D) or ``l1`` (A), by exact rank on
     the presentation when fiber positions are given, else by section count."""
     fam = lattice.family
-    if fam.kind == "D":
-        ray, expected = basis_class(lattice, "f"), list(range(1, max_degree + 2))
-    elif fam.kind == "A":
-        ray, expected = basis_class(lattice, "l1"), [1] * (max_degree + 1)
-    else:
+    if fam.kind not in ("A", "D"):
         raise ValueError("git verification covers the A and D families")
+    ray = basis_class(lattice, "f" if fam.kind == "D" else "l1")
     presentation = None if config is None else cox_presentation(lattice, config)
+    # git_hilbert refuses a ray past RAY_CAP before expected is built.
     dims = git_hilbert(lattice, ray, max_degree, presentation)
+    expected = list(range(1, max_degree + 2)) if fam.kind == "D" else [1] * (max_degree + 1)
     return [
         {
             "check": "invariant-ray-dimensions",

@@ -4,7 +4,8 @@ A class ``D`` orthogonal to ``C`` determines a weight through its Dynkin
 labels ``(-D . alpha_i)_i``; adding multiples of ``K`` or ``C`` does not
 change the labels, so the map factors through the quotient by those two
 classes.  ``weight_of`` is a dot product with the simple-root covectors the
-root system stores.
+root system stores; it lives in `roots`, with the one Weyl orbit walker,
+`roots._orbit_labels`, which `freudenthal` runs on labels.
 
 The Weyl dimension formula and Freudenthal's recursion run on integers.  In
 a simply laced system, with roots of norm 2, a positive root
@@ -38,7 +39,7 @@ from .lattice import (
     basis_class,
     sparse_entries,
 )
-from .roots import RootSystemData, _positive_root_coeffs
+from .roots import RootSystemData, _orbit_labels, _positive_root_coeffs, _reflect_labels, weight_of
 
 WeightVector = tuple[int, ...]
 
@@ -75,14 +76,6 @@ class WeightMultiset(_Frozen):
         return self._merge(other, -1)
 
 
-def weight_of(system: RootSystemData, d: DivisorClass) -> WeightVector:
-    """Dynkin labels of a class: ``(-D . alpha_i)`` over the simple roots."""
-    x = d.coords
-    if len(x) != system.lattice.rank:
-        raise ValueError("coordinate length does not match the lattice rank")
-    return tuple(-sum(x[k] * v for k, v in cov) for cov in system.simple_covectors)
-
-
 def line_highest_class(lattice: IntersectionLattice) -> DivisorClass:
     """The exceptional class whose weight is the highest line weight."""
     fam = lattice.family
@@ -116,32 +109,6 @@ def weyl_dim(system: RootSystemData, lam: WeightVector) -> int:
     if rem:
         raise AssertionError("dimension formula did not produce an integer")
     return dim
-
-
-def _reflect_labels(row, w: WeightVector, t: int) -> WeightVector:
-    """Labels of ``s_i(w)`` given the sparse Cartan row ``i`` and ``t = w_i``."""
-    y = list(w)
-    for j, v in row:
-        y[j] -= t * v
-    return tuple(y)
-
-
-def _orbit_labels(rows, start: WeightVector) -> set[WeightVector]:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        fresh = []
-        for w in frontier:
-            for i, row in enumerate(rows):
-                t = w[i]
-                if t == 0:
-                    continue
-                y = _reflect_labels(row, w, t)
-                if y not in seen:
-                    seen.add(y)
-                    fresh.append(y)
-        frontier = fresh
-    return seen
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)

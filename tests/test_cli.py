@@ -1,13 +1,17 @@
 """End to end coverage of the command line interface."""
 
+import io
 import json
 import shlex
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adecox import DivisorClass, IntersectionLattice, SurfaceConfigD, SurfaceFamily, build_root_system
 from adecox import cox as cox_module
@@ -644,13 +648,16 @@ def test_points_take_integers_fractions_signs_and_decimals(capsys, points):
 def test_verify_hilbert_refuses_a_report_past_the_cap_before_any_rank_work(capsys, monkeypatch):
     # A40 to degree 4: 148,995 classes of rank 42, 6,257,790 coordinates,
     # although its monomial table (581,790 positions) fits under the cap.
-    def no_rank_work(*args):
-        raise AssertionError("rank work before the refusal")
+    # Each A monomial is its own class, so the classes are counted as
+    # C(41 + 4, 4) without building that table.
+    def no_work(*args):
+        raise AssertionError("table or rank work before the refusal")
 
-    monkeypatch.setattr(cox_module, "_piece_dim", no_rank_work)
+    monkeypatch.setattr(cox_module, "_piece_dim", no_work)
+    monkeypatch.setattr(cox_module, "_monomial_table", no_work)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, ["verify", "--which", "hilbert", "--family", "A", "--n", "40"])
-    assert time.perf_counter() - start < 1
+    assert time.perf_counter() - start < 0.1
     assert code == 2 and out == ""
     assert err == (
         "error: hilbert report of 148995 classes of rank 42 up to degree 4 exceeds the cap 1000000\n"
@@ -663,3 +670,127 @@ def test_verify_hilbert_still_reports_a24_under_the_cap(capsys):
     entry = json.loads(out)["results"][0]
     assert entry["classes_checked"] * 26 == 617_526 <= cox_module.MONOMIAL_CAP
     assert entry["pass"]
+
+
+# Each of these escaped as a traceback with exit 1, or passed with exit 0.
+REFUSED_INPUTS = {
+    "points-dashes": (
+        ["verify", "--which", "hilbert", "--family", "D", "--n", "3", "--points=--"],
+        "error: --points takes one comma separated list of rationals\n",
+    ),
+    "points-empty-tokens": (
+        ["quadrics", "--family", "D", "--n", "3", "--points", "0,,1,2,"],
+        "error: cannot parse points '0,,1,2,': '' is not an integer, p/q or decimal\n",
+    ),
+    "git-huge-degree-D": (
+        ["verify", "--which", "git", "--family", "D", "--n", "4", "--max-degree", "99999999999999999999"],
+        "error: ray length 99999999999999999999 exceeds the cap 10000\n",
+    ),
+    "git-huge-degree-A": (
+        ["verify", "--which", "git", "--family", "A", "--n", "4", "--max-degree", "99999999999999999999"],
+        "error: ray length 99999999999999999999 exceeds the cap 10000\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED_INPUTS)
+def test_malformed_inputs_exit_2_at_once(capsys, name):
+    argv, message = REFUSED_INPUTS[name]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err == message
+
+
+@pytest.mark.parametrize("name", REFUSED_INPUTS)
+def test_malformed_inputs_exit_2_from_a_cold_process_without_a_traceback(name):
+    argv, message = REFUSED_INPUTS[name]
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "adecox", *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == message
+
+
+@pytest.mark.parametrize(
+    "points", ["0,1,2,", ",0,1,2", "0, ,1,2", "0,1,2 ,,", "1_0,2,3", ".5,1,2", "5.,1,2", "0x1,2,3"]
+)
+def test_points_tokens_outside_the_grammar_exit_2(capsys, points):
+    code, out, err = run_cli(capsys, ["quadrics", "--family", "D", "--n", "3", "--points", points])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot parse points {points!r}: ")
+
+
+_POINT_TOKENS = ["0", "+3", "1/2", "-3/2", "0.5", "", " ", "1/0", "1e3", "x", "--"]
+_MUTANT_TOKENS = [
+    "--", "-", "", "0", "-1", "9", "99999999999999999999", "1e9", "--points", "--points=--",
+    "--n", "--family", "--max-degree", "--format", "X", "csv", "json", "lines",
+]
+
+
+@st.composite
+def _argv_lists(draw):
+    """An argument list from the CLI grammar (n <= 8, degree <= 3), then up to
+    two tokens inserted, replaced or dropped."""
+    command = draw(st.sampled_from(["enumerate", "verify", "quadrics"]))
+    n = draw(st.integers(-1, 8))
+    argv = [command, "--family", draw(st.sampled_from("ADE")), "--n", str(n)]
+    if command == "enumerate":
+        argv += ["--what", draw(st.sampled_from(["roots", "lines", "rulings"]))]
+    if command == "verify":
+        argv += ["--which", draw(st.sampled_from(["sym2", "weights", "hilbert", "census", "git"]))]
+    if command != "enumerate" and draw(st.booleans()):
+        size = draw(st.sampled_from([max(n, 0), draw(st.integers(0, 9))]))
+        clean = draw(st.booleans())  # distinct integers, so that some lists are valid
+        tokens = st.integers(-3, 9).map(str)
+        if not clean:
+            tokens = tokens | st.sampled_from(_POINT_TOKENS)
+        points = ",".join(draw(st.lists(tokens, min_size=size, max_size=size, unique=clean)))
+        argv += draw(st.sampled_from([["--points", points], [f"--points={points}"]]))
+    if command == "verify" and draw(st.booleans()):
+        argv += ["--max-degree", str(draw(st.integers(-1, 3)))]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["json", "csv"]))]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(argv)))
+        action = draw(st.sampled_from(["insert", "replace", "drop"]))
+        if action == "insert":
+            argv.insert(i, draw(st.sampled_from(_MUTANT_TOKENS)))
+        elif i < len(argv):
+            argv[i : i + 1] = [draw(st.sampled_from(_MUTANT_TOKENS))] if action == "replace" else []
+    return argv
+
+
+def _last_points(argv):
+    """The ``--points`` value argparse keeps (the last one), or None."""
+    text = None
+    for i, token in enumerate(argv):
+        if token.startswith("--points="):
+            text = token[len("--points="):]
+        elif token == "--points" and i + 1 < len(argv):
+            text = argv[i + 1]
+    return text
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@example(argv=REFUSED_INPUTS["points-dashes"][0])
+@example(argv=REFUSED_INPUTS["points-empty-tokens"][0])
+@example(argv=REFUSED_INPUTS["git-huge-degree-D"][0])
+@given(argv=_argv_lists())
+def test_cli_main_returns_an_exit_code_on_any_argument_list(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse refusing the list
+            assert exc.code == 2
+            return
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+    points = _last_points(argv)
+    if code == 0 and points is not None:
+        # No token of an accepted point list was dropped.
+        assert all(token.strip() for token in points.split(","))

@@ -512,8 +512,17 @@ def _old_graded_dim(presentation, lattice, d, buckets):
 
 
 def _as_generator_indices(presentation, monomials):
-    """Search-position tuples as sorted generator-index tuples."""
-    order = presentation._order
+    """Search-position tuples as sorted generator-index tuples.
+
+    The layout of the `cox` module docstring: position ``p`` is ``x_(p+1)``
+    on A; on D, ``x_i`` (generator ``i - 1``) sits at ``2(i - 1)`` and
+    ``y_i`` (generator ``n + i - 1``) at ``2(i - 1) + 1``.
+    """
+    fam = presentation.lattice.family
+    if fam.kind == "A":
+        order = list(range(len(presentation.generators)))
+    else:
+        order = [p // 2 + (fam.n if p % 2 else 0) for p in range(2 * fam.n)]
     return {tuple(sorted(order[p] for p in mono)) for mono in monomials}
 
 

@@ -1,8 +1,12 @@
 """Simple roots, Cartan matrices, classification, reflections and orbits."""
 
+import random
+
 import pytest
 
 from adecox import (
+    ClassSet,
+    DivisorClass,
     SurfaceFamily,
     basis_class,
     build_lattice,
@@ -181,3 +185,54 @@ def test_orbit_of_ruling_class_e6():
     orbit = weyl_orbit(system, seed)
     assert orbit.as_set() == enumerate_rulings(lat).as_set()
     assert len(orbit) == 27
+
+
+def _reflection_closure(lat, alphas, seed):
+    """Breadth-first closure of a class under the public ``reflect``."""
+    seen = {seed}
+    frontier = [seed]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for alpha in alphas:
+                y = reflect(lat, x, alpha)
+                if y not in seen:
+                    seen.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return seen
+
+
+ORBIT_CASES = [("E", n) for n in range(3, 9)] + [("D", n) for n in range(2, 9)] + [
+    ("A", n) for n in range(1, 7)
+]
+
+
+@pytest.mark.parametrize("kind,n", ORBIT_CASES, ids=lambda v: str(v))
+def test_weyl_orbit_is_the_closure_under_reflect(kind, n):
+    lat = build_lattice(SurfaceFamily(kind, n))
+    system = build_root_system(lat)
+    alphas = simple_roots(lat)
+    lines = list(enumerate_lines(lat))
+    seeds = [lines[0], lat.K, lat.C, *alphas]
+    if kind == "E":
+        seeds.append(basis_class(lat, "h") - basis_class(lat, "l1"))
+    rng = random.Random(100 * n + ord(kind))
+    for _ in range(3):
+        # K and C are fixed, so this orbit is a shifted multiple of the lines.
+        line = rng.choice(lines)
+        seeds.append(lat.K * rng.randint(-3, 3) + lat.C * rng.randint(-3, 3) + line * rng.randint(-2, 2))
+    if system.rank <= 5:
+        # |W| <= 1920 here, so a generic class's full orbit stays small.
+        for _ in range(3):
+            seeds.append(DivisorClass(tuple(rng.randint(-3, 3) for _ in range(lat.rank))))
+    for seed in seeds:
+        want = tuple(sorted(_reflection_closure(lat, alphas, seed)))
+        assert weyl_orbit(system, seed) == ClassSet(lattice=lat, kind="orbit", classes=want)
+
+
+def test_weyl_orbit_refuses_a_seed_of_the_wrong_length():
+    system = build_root_system(build_lattice(SurfaceFamily("E", 6)))
+    seed = basis_class(build_lattice(SurfaceFamily("E", 7)), "h")
+    with pytest.raises(ValueError, match="coordinate length"):
+        weyl_orbit(system, seed)
