@@ -21,13 +21,18 @@ a finite (ADE) system, and A3 = D3, with six, is named A3.  So the small
 cases come out under their isomorphic names: (E,3) -> A2xA1, (E,4) -> A4,
 (E,5) -> D5, (D,2) -> A1xA1, (D,3) -> A3.
 
-Every Weyl orbit is walked by `_orbit_labels`, a breadth-first closure on
-Dynkin labels; `weyl_orbit` carries the class coordinates along.
+`build_root_system` is the one place that derives Weyl data: it reads the
+Cartan matrix off the simple-root covectors, runs the positive-root closure
+once and keeps each root's coefficients and labels beside the sparse Cartan
+rows, so the weight routines in `weights` only read them.  Every Weyl orbit
+is walked by `_orbit_labels`, a breadth-first closure on Dynkin labels;
+`weyl_orbit` carries the class coordinates along.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 
 from .curves import ClassSet
 from .lattice import (
@@ -43,15 +48,17 @@ from .lattice import (
 
 
 class RootSystemData(_Frozen):
-    # ``root_coeffs`` holds the coefficients of each positive root over the
-    # simple roots, aligned with ``positive_roots``.  ``simple_covectors``
-    # holds the sparse covector ``gram . alpha_i`` of each simple root, as
-    # ``(coordinate, entry)`` pairs: pairing a class with ``alpha_i`` is a
-    # dot product with it.  Neither takes part in equality, hash or repr.
-    # The hash is taken once: lru caches key on root systems, and hashing
-    # every positive root per call cost milliseconds at large rank.
+    # ``closure`` holds the ``(coefficients, labels)`` pair of each positive
+    # root from `_positive_root_coeffs`, aligned with ``positive_roots``:
+    # its coefficients over the simple roots and its Cartan pairing.
+    # ``cartan_rows`` holds the Cartan rows as sparse ``(index, entry)``
+    # pairs, and ``simple_covectors`` the sparse covector ``gram . alpha_i``
+    # of each simple root, so pairing a class with ``alpha_i`` is a dot
+    # product.  None takes part in equality, hash or repr.  The hash is
+    # taken once: lru caches key on root systems, and hashing every positive
+    # root per call cost milliseconds at large rank.
     _fields = ("lattice", "simple_roots", "cartan", "positive_roots", "type_label")
-    __slots__ = _fields + ("root_coeffs", "simple_covectors", "_hash")
+    __slots__ = _fields + ("closure", "cartan_rows", "simple_covectors", "_hash")
 
     def __init__(
         self,
@@ -60,17 +67,19 @@ class RootSystemData(_Frozen):
         cartan: tuple[tuple[int, ...], ...],
         positive_roots: tuple[DivisorClass, ...],
         type_label: str,
-        root_coeffs: tuple[tuple[int, ...], ...],
+        closure: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
+        cartan_rows: tuple[tuple[tuple[int, int], ...], ...],
         simple_covectors: tuple[tuple[tuple[int, int], ...], ...],
     ):
         super().__init__(lattice, simple_roots, cartan, positive_roots, type_label)
-        self._set(root_coeffs=root_coeffs, simple_covectors=simple_covectors, _hash=hash(self._values()))
+        self._set(closure=closure, cartan_rows=cartan_rows, simple_covectors=simple_covectors)
+        self._set(_hash=hash(self._values()))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
-        return RootSystemData, self._values() + (self.root_coeffs, self.simple_covectors)
+        return RootSystemData, self._values() + (self.closure, self.cartan_rows, self.simple_covectors)
 
     @property
     def rank(self) -> int:
@@ -117,14 +126,14 @@ def _components(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
 
 
 def _type_label(
-    cartan: tuple[tuple[int, ...], ...], root_coeffs: tuple[tuple[int, ...], ...]
+    cartan: tuple[tuple[int, ...], ...], closure: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 ) -> str:
     """Dynkin type by the root counts of the module docstring; each positive
     root is counted in the component of its support."""
     comps = _components(cartan)
     where = {i: j for j, comp in enumerate(comps) for i in comp}
     counts = [0] * len(comps)
-    for coeffs in root_coeffs:
+    for coeffs, _ in closure:
         counts[where[coeffs.index(max(coeffs))]] += 1  # a node of the support
     labels = []
     for comp, count in zip(comps, counts):
@@ -146,12 +155,10 @@ def _positive_root_coeffs(
     when ``(r, alpha_j)`` equals -1, and every positive root is reachable by
     adding one simple root at a time.  Adding ``alpha_j`` adds row ``j`` of
     the Cartan matrix to the labels, so each step costs one row.
+    `build_root_system` is its one caller.
     """
     rank = len(cartan)
-    rows = [sparse_entries(row) for row in cartan]
-    known: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for i in range(rank):
-        known[tuple(1 if i == j else 0 for j in range(rank))] = cartan[i]
+    known = {tuple(1 if i == j else 0 for j in range(rank)): cartan[i] for i in range(rank)}
     frontier = list(known.items())
     while frontier:
         fresh = []
@@ -163,10 +170,7 @@ def _positive_root_coeffs(
                 cc[j] += 1
                 tup = tuple(cc)
                 if tup not in known:
-                    ll = list(labels)
-                    for k, v in rows[j]:
-                        ll[k] += v
-                    known[tup] = tuple(ll)
+                    known[tup] = tuple(map(add, labels, cartan[j]))
                     fresh.append((tup, known[tup]))
         frontier = fresh
     return tuple(sorted(known.items()))
@@ -176,39 +180,33 @@ def _positive_root_coeffs(
 def build_root_system(lattice: IntersectionLattice) -> RootSystemData:
     alphas = simple_roots(lattice)
     for a in alphas:
-        if pair(lattice, a, a) != -2 or pair(lattice, a, lattice.K) != 0:
+        if pair(lattice, a, lattice.K) != 0:
             raise AssertionError("simple root fails the root equations")
         if pair(lattice, a, lattice.C) != 0:
             raise AssertionError("simple root not orthogonal to the marking class")
-    rank = len(alphas)
-    cartan = tuple(
-        tuple(-pair(lattice, alphas[i], alphas[j]) for j in range(rank))
-        for i in range(rank)
-    )
-    for i in range(rank):
-        for j in range(rank):
-            ok = cartan[i][j] == 2 if i == j else cartan[i][j] in (0, -1)
-            if not ok:
+    covectors = tuple(sparse_entries(gram_vector(lattice, a)) for a in alphas)
+    # Row i holds the labels -(alpha_i . alpha_j) of alpha_i; the diagonal
+    # check is the root equation alpha_i . alpha_i = -2.
+    cartan = tuple(tuple(-sum(a.coords[k] * v for k, v in cov) for cov in covectors) for a in alphas)
+    for i, row in enumerate(cartan):
+        for j, x in enumerate(row):
+            if not (x == 2 if i == j else x in (0, -1)):
                 raise AssertionError("pairing of simple roots is not simply laced")
     alpha_entries = [sparse_entries(a.coords) for a in alphas]
     roots = []
-    for coeffs, _ in _positive_root_coeffs(cartan):
+    for coeffs, labels in _positive_root_coeffs(cartan):
         coords = [0] * lattice.rank
         for c, entries in zip(coeffs, alpha_entries):
             if c:
                 for k, v in entries:
                     coords[k] += c * v
-        roots.append((DivisorClass(tuple(coords)), coeffs))
+        roots.append((DivisorClass(tuple(coords)), (coeffs, labels)))
     roots.sort()
-    root_coeffs = tuple(c for _, c in roots)
+    closure = tuple(p for _, p in roots)
+    cartan_rows = tuple(sparse_entries(row) for row in cartan)
+    positive = tuple(r for r, _ in roots)
     return RootSystemData(
-        lattice=lattice,
-        simple_roots=alphas,
-        cartan=cartan,
-        positive_roots=tuple(r for r, _ in roots),
-        type_label=_type_label(cartan, root_coeffs),
-        root_coeffs=root_coeffs,
-        simple_covectors=tuple(sparse_entries(gram_vector(lattice, a)) for a in alphas),
+        lattice, alphas, cartan, positive, _type_label(cartan, closure), closure, cartan_rows, covectors
     )
 
 
@@ -268,8 +266,8 @@ def weyl_orbit(system: RootSystemData, seed: DivisorClass) -> ClassSet:
     states ``labels + coords``, as ``s_i(x) = x - w_i alpha_i``."""
     rank = system.rank
     moves = [
-        sparse_entries(row) + tuple((rank + k, v) for k, v in sparse_entries(a.coords))
-        for row, a in zip(system.cartan, system.simple_roots)
+        row + tuple((rank + k, v) for k, v in sparse_entries(a.coords))
+        for row, a in zip(system.cartan_rows, system.simple_roots)
     ]
     states = _orbit_labels(moves, weight_of(system, seed) + seed.coords)
     classes = tuple(DivisorClass(c) for c in sorted(s[rank:] for s in states))

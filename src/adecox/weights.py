@@ -5,7 +5,9 @@ labels ``(-D . alpha_i)_i``; adding multiples of ``K`` or ``C`` does not
 change the labels, so the map factors through the quotient by those two
 classes.  ``weight_of`` is a dot product with the simple-root covectors the
 root system stores; it lives in `roots`, with the one Weyl orbit walker,
-`roots._orbit_labels`, which `freudenthal` runs on labels.
+`roots._orbit_labels`, which `freudenthal` runs on labels.  The root system
+also holds the positive-root closure (each root's coefficients and labels)
+and the sparse Cartan rows; the routines here read them and derive neither.
 
 The Weyl dimension formula and Freudenthal's recursion run on integers.  In
 a simply laced system, with roots of norm 2, a positive root
@@ -39,7 +41,7 @@ from .lattice import (
     basis_class,
     sparse_entries,
 )
-from .roots import RootSystemData, _orbit_labels, _positive_root_coeffs, _reflect_labels, weight_of
+from .roots import RootSystemData, _orbit_labels, _reflect_labels, weight_of
 
 WeightVector = tuple[int, ...]
 
@@ -90,19 +92,23 @@ def ruling_highest_class(lattice: IntersectionLattice) -> DivisorClass:
     return basis_class(lattice, "h") - basis_class(lattice, "l1")
 
 
+def _check_dominant(system: RootSystemData, lam: WeightVector) -> None:
+    if len(lam) != system.rank:
+        raise ValueError("weight length does not match the root system rank")
+    if any(x < 0 for x in lam):
+        raise ValueError("weight is not dominant")
+
+
 def weyl_dim(system: RootSystemData, lam: WeightVector) -> int:
     """Weyl dimension formula, evaluated exactly.
 
     ``prod <lam + rho, alpha> / prod <rho, alpha>`` over the positive roots,
     with ``<mu, alpha> = sum c_i mu_i`` for ``alpha = sum c_i alpha_i``.
     """
-    if len(lam) != system.rank:
-        raise ValueError("weight length does not match the root system rank")
-    if any(x < 0 for x in lam):
-        raise ValueError("weight is not dominant")
+    _check_dominant(system, lam)
     lam_rho = [l + 1 for l in lam]
     num = den = 1
-    for coeffs in system.root_coeffs:
+    for coeffs, _ in system.closure:
         num *= sum(c * m for c, m in zip(coeffs, lam_rho) if c)
         den *= sum(coeffs)
     dim, rem = divmod(num, den)
@@ -134,27 +140,21 @@ def freudenthal(system: RootSystemData, lam: WeightVector) -> WeightMultiset:
     and its orbit was written earlier; a sum that is not a weight reads 0.
     The highest weight has gap 0 and multiplicity 1.
     """
-    if len(lam) != system.rank:
-        raise ValueError("weight length does not match the root system rank")
-    if any(x < 0 for x in lam):
-        raise ValueError("weight is not dominant")
-    rows = [sparse_entries(row) for row in system.cartan]
-    pos = _positive_root_coeffs(system.cartan)
-
+    _check_dominant(system, lam)
     dom_depth: dict[WeightVector, tuple[int, ...]] = {lam: (0,) * system.rank}
     frontier = [lam]
     while frontier:
         fresh = []
         for mu in frontier:
             d = dom_depth[mu]
-            for c, al in pos:
+            for c, al in system.closure:
                 nu = tuple(m - a for m, a in zip(mu, al))
                 if all(x >= 0 for x in nu) and nu not in dom_depth:
                     dom_depth[nu] = tuple(x + y for x, y in zip(d, c))
                     fresh.append(nu)
         frontier = fresh
 
-    support = [(al, sparse_entries(c)) for c, al in pos]
+    support = [(al, sparse_entries(c)) for c, al in system.closure]
     mult: dict[WeightVector, int] = {}
     for mu in sorted(dom_depth, key=lambda w: (sum(dom_depth[w]), w)):
         depth = dom_depth[mu]
@@ -170,16 +170,15 @@ def freudenthal(system: RootSystemData, lam: WeightVector) -> WeightMultiset:
         value, rem = divmod(acc, gap) if gap else (1, 0)
         if rem or value <= 0:
             raise AssertionError("recursion produced a non-positive multiplicity")
-        for w in _orbit_labels(rows, mu):
+        for w in _orbit_labels(system.cartan_rows, mu):
             mult[w] = value
     return WeightMultiset(tuple(sorted(mult.items())))
 
 
 def is_weyl_invariant(system: RootSystemData, ms: WeightMultiset) -> bool:
-    rows = [sparse_entries(row) for row in system.cartan]
     d = ms.as_dict()
     for w, m in ms.entries:
-        for i, row in enumerate(rows):
+        for i, row in enumerate(system.cartan_rows):
             t = w[i]
             if t and d.get(_reflect_labels(row, w, t), 0) != m:
                 return False
@@ -288,9 +287,10 @@ def verify_weight_lemma(system: RootSystemData) -> dict:
 
     Part one (all families): the weights of the irreducible generated by the
     highest line weight are exactly the line weights.  Part two (E family):
-    the module generated by the ``h - l1`` weight matches the ruling weights
-    for n <= 6, gains seven zero weights at n = 7, and strictly contains the
-    rulings (with multiplicity one each) at n = 8.
+    for n <= 7 the module generated by the ``h - l1`` weight is the
+    complement W that `expected_w_multiset` predicts (the ruling weights,
+    plus seven zero weights at n = 7); at n = 8 it strictly contains the
+    rulings, with multiplicity one each.
     """
     lines_ms = line_weight_multiset(system)
     pi_line = freudenthal(system, weight_of(system, line_highest_class(system.lattice)))
@@ -306,12 +306,9 @@ def verify_weight_lemma(system: RootSystemData) -> dict:
         pi_r = freudenthal(system, weight_of(system, ruling_highest_class(system.lattice)))
         report["ruling_module_total"] = pi_r.total
         report["ruling_count"] = rulings.total
-        if fam.n <= 6:
-            good = pi_r == rulings
-            report["ruling_relation"] = "equal"
-        elif fam.n == 7:
-            good = pi_r == rulings.add(_zero_multiset(system, 7))
-            report["ruling_relation"] = "equal plus zero^7"
+        if fam.n <= 7:
+            good = pi_r == expected_w_multiset(system)[0]
+            report["ruling_relation"] = "equal" if fam.n <= 6 else "equal plus zero^7"
         else:
             d = pi_r.as_dict()
             good = (

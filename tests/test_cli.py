@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from adecox import DivisorClass, IntersectionLattice, SurfaceConfigD, SurfaceFamily, build_root_system
 from adecox import cox as cox_module
 from adecox import selftest as selftest_module
+from adecox import weights as weights_module
 from adecox.cli import N_LIMITS, main
 from adecox.selftest import Check
 
@@ -551,6 +552,34 @@ def test_one_failed_certificate_fails_quadrics_and_selftest(
     result = check.run()
     assert not result.passed
     assert result.details.startswith(f"{named}: ")
+
+
+def _one_more_zero_weight(line_weight_multiset):
+    def spoilt(system):
+        zero = weights_module.WeightMultiset.from_dict({(0,) * system.rank: 1})
+        return line_weight_multiset(system).add(zero)
+
+    return spoilt
+
+
+@pytest.mark.parametrize(
+    "module, name, spoil, argv",
+    [
+        (weights_module, "line_weight_multiset", _one_more_zero_weight, ["weights", "--family", "E", "--n", "6"]),
+        (cox_module, "section_dim", lambda f: lambda lat, cls: f(lat, cls) + (cls.coords[0] == 1),
+         ["hilbert", "--family", "D", "--n", "3", "--points", "0,1,2", "--max-degree", "2"]),
+        (selftest_module, "git_hilbert", lambda f: lambda *args: [d + (k == 1) for k, d in enumerate(f(*args))],
+         ["git", "--family", "D", "--n", "3"]),
+    ],
+    ids=["weights", "hilbert", "git"],
+)
+def test_one_wrong_comparison_makes_verify_exit_1_with_a_failing_entry(
+    capsys, monkeypatch, module, name, spoil, argv
+):
+    monkeypatch.setattr(module, name, spoil(getattr(module, name)))
+    code, out, err = run_cli(capsys, ["verify", "--which"] + argv)
+    assert code == 1 and err == ""
+    assert any(entry["pass"] is False for entry in json.loads(out)["results"])
 
 
 def _c4_details_with_section_dim_off_by_one(monkeypatch, wrong):

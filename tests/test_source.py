@@ -34,6 +34,18 @@ def _names_used(tree):
                 yield alias.name, node.lineno
 
 
+def test_only_roots_runs_the_positive_root_closure():
+    # build_root_system runs the closure once per root system and keeps it;
+    # the weight routines read what it kept and do not import the closure.
+    modules = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, _ in _names_used(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if name == "_positive_root_coeffs"
+    ]
+    assert modules == ["roots.py"]
+
+
 def test_every_top_level_definition_is_used_or_exported():
     # Code that only the tests need lives under tests/: each top-level
     # function and class is in adecox.__all__ or used outside its own body.

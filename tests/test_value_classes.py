@@ -61,7 +61,8 @@ class RootSystemData:
     cartan: tuple
     positive_roots: tuple
     type_label: str
-    root_coeffs: tuple = field(compare=False, repr=False)
+    closure: tuple = field(compare=False, repr=False)
+    cartan_rows: tuple = field(compare=False, repr=False)
     simple_covectors: tuple = field(compare=False, repr=False)
 
 
@@ -275,10 +276,10 @@ def test_divisor_classes_sort_and_compare_as_the_dataclass():
 def test_excluded_fields_stay_out_of_equality_hash_and_repr():
     system = A.build_root_system(A.build_lattice(A.SurfaceFamily("E", 6)))
     kwargs = _init_kwargs(system)
-    stripped = A.RootSystemData(**{**kwargs, "root_coeffs": (), "simple_covectors": ()})
+    stripped = A.RootSystemData(**{**kwargs, "closure": (), "cartan_rows": (), "simple_covectors": ()})
     assert stripped == system and hash(stripped) == hash(system)
     assert repr(stripped) == repr(system)
-    for name in ("root_coeffs", "simple_covectors"):
+    for name in ("closure", "cartan_rows", "simple_covectors"):
         assert name not in repr(system)
     lat = system.lattice
     assert "c_covector" not in repr(lat)

@@ -1,6 +1,8 @@
 """Weights, multiplicities and the symmetric square decomposition."""
 
+import pickle
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -30,7 +32,8 @@ from adecox import (
 )
 from adecox.curves import _enumerate_kind
 from adecox.lattice import CACHE_MAXSIZE, pair
-from adecox.roots import _components, _positive_root_coeffs
+from adecox.roots import _components, _positive_root_coeffs, weyl_orbit
+from adecox.weights import expected_w_multiset
 from dense_linalg import invert
 
 
@@ -225,6 +228,32 @@ def test_verify_weight_lemma_reports():
     assert e7["ruling_relation"] == "equal plus zero^7"
     e8 = verify_weight_lemma(_system("E", 8))
     assert e8["ruling_relation"] == "strict containment, rulings simple"
+    for n in (3, 4, 5):
+        report = verify_weight_lemma(_system("E", n))
+        assert report["ok"] and report["ruling_relation"] == "equal"
+
+
+@pytest.mark.parametrize(
+    "kind,n,description,total",
+    [("A", n, "empty", 0) for n in range(1, 6)]
+    + [("D", n, "one zero weight", 1) for n in range(2, 7)]
+    + [("E", n, "ruling weights", total) for n, total in ((3, 3), (4, 5), (5, 10), (6, 27))]
+    + [("E", 7, "ruling weights plus zero^7", 133), ("E", 8, "3875-module plus one zero weight", 3876)],
+)
+def test_expected_w_multiset_descriptions_and_totals(kind, n, description, total):
+    system = _system(kind, n)
+    expected, said = expected_w_multiset(system)
+    assert (said, expected.total) == (description, total)
+    assert is_weyl_invariant(system, expected)
+
+
+@pytest.mark.parametrize("fn", [weyl_dim, freudenthal])
+def test_weyl_dim_and_freudenthal_refuse_the_same_weights(fn):
+    system = _system("A", 2)
+    with pytest.raises(ValueError, match="^weight length does not match the root system rank$"):
+        fn(system, (1, 0, 0))
+    with pytest.raises(ValueError, match="^weight is not dominant$"):
+        fn(system, (1, -1))
 
 
 def test_is_weyl_invariant():
@@ -496,8 +525,8 @@ def test_positive_root_coeffs_carry_cartan_labels(kind, n):
     assert len(pos) == _positive_root_count(system.type_label)
     for c, labels in pos:
         assert labels == tuple(sum(cartan[i][j] * c[i] for i in range(rank)) for j in range(rank))
-    assert sorted(system.root_coeffs) == [c for c, _ in pos]
-    for root, coeffs in zip(system.positive_roots, system.root_coeffs):
+    assert sorted(system.closure) == list(pos)
+    for root, (coeffs, _) in zip(system.positive_roots, system.closure):
         total = system.lattice.zero()
         for c, a in zip(coeffs, system.simple_roots):
             total = total + c * a
@@ -527,3 +556,36 @@ def test_freudenthal_properties(case):
     assert ms.total == weyl_dim(system, lam)
     assert is_weyl_invariant(system, ms)
     assert ms.as_dict()[lam] == 1
+
+
+@pytest.mark.parametrize("kind,n", [("E", 8), ("D", 6), ("A", 5)])
+def test_weight_routines_read_the_closure_the_root_system_holds(monkeypatch, kind, n):
+    # A built root system carries its positive-root closure and sparse Cartan
+    # rows; with the closure function raising everywhere it is bound, every
+    # weight routine still answers, with the same results.
+    system = _system(kind, n)
+    lat = system.lattice
+    lam = weight_of(system, line_highest_class(lat))
+    doubled = tuple(2 * x for x in lam)
+
+    def answers():
+        freudenthal.cache_clear()
+        module = freudenthal(system, lam)
+        orbit = weyl_orbit(system, line_highest_class(lat))
+        return module, weyl_dim(system, doubled), is_weyl_invariant(system, module), orbit
+
+    before = answers()
+    assert before[2]
+
+    def boom(_cartan):
+        raise RuntimeError("the positive-root closure was run again")
+
+    bound = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "adecox"]
+    bound = [m for m in bound if hasattr(m, "_positive_root_coeffs")]
+    assert bound
+    for module in bound:
+        monkeypatch.setattr(module, "_positive_root_coeffs", boom)
+    assert answers() == before
+    assert system.cartan_rows == tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in system.cartan)
+    clone = pickle.loads(pickle.dumps(system))
+    assert (clone.closure, clone.cartan_rows) == (system.closure, system.cartan_rows)
