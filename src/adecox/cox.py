@@ -82,22 +82,16 @@ class Relation(_Frozen):
 
 
 class CoxPresentation(_Frozen):
-    # ``_vectors`` and ``_groups`` are derived from the fields below and take
-    # no part in equality, hash or repr.
-    _fields = ("lattice", "generators", "relations")
-    __slots__ = _fields + ("_vectors", "_groups")
+    # The lattice and the relations are the key.  ``generators`` comes from
+    # `cox_generators`, in the layout `_class_monomials` reads positions
+    # off; it, ``_vectors`` and ``_groups`` take no part in equality, hash
+    # or repr.
+    _fields = ("lattice", "relations")
+    __slots__ = _fields + ("generators", "_vectors", "_groups")
 
-    def __init__(
-        self,
-        lattice: IntersectionLattice,
-        generators: tuple[Generator, ...],
-        relations: tuple[Relation, ...],
-    ):
-        super().__init__(lattice, generators, relations)
-        # _class_monomials reads positions off this layout.
-        expected = tuple(cls for _, cls in cox_generators(self.lattice))
-        if tuple(g.cls for g in self.generators) != expected:
-            raise ValueError("generator classes differ from cox_generators(lattice)")
+    def __init__(self, lattice: IntersectionLattice, relations: tuple[Relation, ...]):
+        super().__init__(lattice, relations)
+        self._set(generators=tuple(Generator(name, cls) for name, cls in cox_generators(lattice)))
         for rel in self.relations:
             if not rel.terms:
                 raise ValueError("relation with no terms")
@@ -186,7 +180,6 @@ def dn_ideal(lattice: IntersectionLattice, config: SurfaceConfigD) -> CoxPresent
     n = fam.n
     if len(config.points) != n:
         raise ValueError(f"need exactly {n} fiber positions, got {len(config.points)}")
-    generators = tuple(Generator(name, cls) for name, cls in cox_generators(lattice))
     t = config.points
     f = basis_class(lattice, "f")
     relations = []
@@ -197,7 +190,7 @@ def dn_ideal(lattice: IntersectionLattice, config: SurfaceConfigD) -> CoxPresent
             (t[0] - t[1], (i - 1, n + i - 1)),
         )
         relations.append(Relation(terms, f))
-    return CoxPresentation(lattice, generators, tuple(relations))
+    return CoxPresentation(lattice, tuple(relations))
 
 
 def cox_presentation(
@@ -218,8 +211,7 @@ def cox_presentation(
         return dn_ideal(lattice, config)
     if fam.kind == "D" and fam.n >= 3:
         raise ValueError("D-family presentations with n >= 3 need fiber positions")
-    gens = tuple(Generator(name, cls) for name, cls in cox_generators(lattice))
-    return CoxPresentation(lattice, gens, ())
+    return CoxPresentation(lattice, ())
 
 
 def section_dim(lattice: IntersectionLattice, d: DivisorClass) -> int:

@@ -37,12 +37,15 @@ class _Frozen:
     ``__init__`` binds ``_fields`` to positional and keyword arguments, as
     a dataclass constructor does; a subclass that validates or derives
     passes its fields on positionally and sets derived attributes through
-    ``_set``.  Equality, hash and repr read ``_fields`` only, as a frozen
-    dataclass's do: an instance equals only an instance of the same class
-    with equal fields, hashes as the tuple of its fields, and shows as
-    ``Name(field=value, ...)``.  Assigning or deleting an attribute
-    afterwards raises ``AttributeError``.  Copies and pickles are rebuilt
-    through ``__init__``, which recomputes derived attributes (a cached
+    ``_set``.  A class whose value follows from a few inputs takes only
+    those as fields: a lattice its family, a root system its lattice, a
+    presentation its lattice and relations; all else is derived.  Equality,
+    hash and repr read ``_fields`` only, as a frozen dataclass's do: an
+    instance equals only an instance of the same class with equal fields,
+    hashes as the tuple of its fields, and shows as ``Name(field=value,
+    ...)``.  Assigning or deleting an attribute afterwards raises
+    ``AttributeError``.  Copies and pickles are rebuilt through
+    ``__init__`` from the fields, which derives the rest again (a cached
     string hash differs between processes).
 
     The package does not use :mod:`dataclasses`: importing it (with
@@ -180,21 +183,45 @@ class SurfaceFamily(_Frozen):
 
 
 class IntersectionLattice(_Frozen):
+    # The family is the whole key: the basis, gram matrix, ``K`` and ``C``
+    # are derived from it and take no part in equality, hash or repr.
     # ``c_covector`` is the sparse covector ``gram . C`` as ``(coordinate,
     # entry)`` pairs, so that pairing a class with ``C`` is a dot product.
     # The hash is taken once: lru caches key on lattices and root systems.
-    _fields = ("family", "basis_labels", "gram", "K", "C")
-    __slots__ = _fields + ("c_covector", "_hash")
+    _fields = ("family",)
+    __slots__ = _fields + ("basis_labels", "gram", "K", "C", "c_covector", "_hash")
 
-    def __init__(
-        self,
-        family: SurfaceFamily,
-        basis_labels: tuple[str, ...],
-        gram: tuple[tuple[int, ...], ...],
-        K: DivisorClass,
-        C: DivisorClass,
-    ):
-        super().__init__(family, basis_labels, gram, K, C)
+    def __init__(self, family: SurfaceFamily):
+        super().__init__(family)
+        n = family.n
+        rank = family.rank
+        if family.kind in ("E", "A"):
+            labels = ("h",) + tuple(f"l{i}" for i in range(1, n + 2))
+            gram = tuple(
+                tuple((1 if i == 0 else -1) if i == j else 0 for j in range(rank))
+                for i in range(rank)
+            )
+            K = DivisorClass((-3,) + (1,) * (n + 1))
+            if family.kind == "E":
+                C = DivisorClass((0,) * (rank - 1) + (1,))
+            else:
+                C = DivisorClass((1,) + (0,) * (rank - 1))
+        else:
+            labels = ("f", "s") + tuple(f"l{i}" for i in range(1, n + 1))
+            rows = []
+            for i in range(rank):
+                row = [0] * rank
+                if i == 0:
+                    row[1] = 1
+                elif i == 1:
+                    row[0] = 1
+                else:
+                    row[i] = -1
+                rows.append(tuple(row))
+            gram = tuple(rows)
+            K = DivisorClass((-2, -2) + (1,) * n)
+            C = DivisorClass((1,) + (0,) * (rank - 1))
+        self._set(basis_labels=labels, gram=gram, K=K, C=C)
         self._set(c_covector=sparse_entries(gram_vector(self, C)), _hash=hash(self._values()))
 
     def __hash__(self) -> int:
@@ -210,35 +237,7 @@ class IntersectionLattice(_Frozen):
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def build_lattice(family: SurfaceFamily) -> IntersectionLattice:
-    n = family.n
-    rank = family.rank
-    if family.kind in ("E", "A"):
-        labels = ("h",) + tuple(f"l{i}" for i in range(1, n + 2))
-        gram = tuple(
-            tuple((1 if i == 0 else -1) if i == j else 0 for j in range(rank))
-            for i in range(rank)
-        )
-        K = DivisorClass((-3,) + (1,) * (n + 1))
-        if family.kind == "E":
-            C = DivisorClass((0,) * (rank - 1) + (1,))
-        else:
-            C = DivisorClass((1,) + (0,) * (rank - 1))
-    else:
-        labels = ("f", "s") + tuple(f"l{i}" for i in range(1, n + 1))
-        rows = []
-        for i in range(rank):
-            row = [0] * rank
-            if i == 0:
-                row[1] = 1
-            elif i == 1:
-                row[0] = 1
-            else:
-                row[i] = -1
-            rows.append(tuple(row))
-        gram = tuple(rows)
-        K = DivisorClass((-2, -2) + (1,) * n)
-        C = DivisorClass((1,) + (0,) * (rank - 1))
-    return IntersectionLattice(family, labels, gram, K, C)
+    return IntersectionLattice(family)
 
 
 def basis_class(lattice: IntersectionLattice, label: str) -> DivisorClass:

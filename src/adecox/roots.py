@@ -21,12 +21,13 @@ a finite (ADE) system, and A3 = D3, with six, is named A3.  So the small
 cases come out under their isomorphic names: (E,3) -> A2xA1, (E,4) -> A4,
 (E,5) -> D5, (D,2) -> A1xA1, (D,3) -> A3.
 
-`build_root_system` is the one place that derives Weyl data: it reads the
-Cartan matrix off the simple-root covectors, runs the positive-root closure
-once and keeps each root's coefficients and labels beside the sparse Cartan
-rows, so the weight routines in `weights` only read them.  Every Weyl orbit
-is walked by `_orbit_labels`, a breadth-first closure on Dynkin labels;
-`weyl_orbit` carries the class coordinates along.
+A root system is keyed by its lattice alone: `RootSystemData(lattice)` is
+the one place that derives Weyl data.  It reads the Cartan matrix off the
+simple-root covectors, runs the positive-root closure once and keeps each
+root's coefficients and labels beside the sparse Cartan rows, so the weight
+routines in `weights` only read them; `build_root_system` caches it.
+Every Weyl orbit is walked by `_orbit_labels`, a breadth-first closure on
+Dynkin labels; `weyl_orbit` carries the class coordinates along.
 """
 
 from __future__ import annotations
@@ -48,38 +49,54 @@ from .lattice import (
 
 
 class RootSystemData(_Frozen):
-    # ``closure`` holds the ``(coefficients, labels)`` pair of each positive
-    # root from `_positive_root_coeffs`, aligned with ``positive_roots``:
-    # its coefficients over the simple roots and its Cartan pairing.
-    # ``cartan_rows`` holds the Cartan rows as sparse ``(index, entry)``
-    # pairs, and ``simple_covectors`` the sparse covector ``gram . alpha_i``
-    # of each simple root, so pairing a class with ``alpha_i`` is a dot
-    # product.  None takes part in equality, hash or repr.  The hash is
-    # taken once: lru caches key on root systems, and hashing every positive
-    # root per call cost milliseconds at large rank.
-    _fields = ("lattice", "simple_roots", "cartan", "positive_roots", "type_label")
-    __slots__ = _fields + ("closure", "cartan_rows", "simple_covectors", "_hash")
+    # The lattice is the whole key; the rest is derived from it and takes no
+    # part in equality, hash or repr.  ``closure`` holds the ``(coefficients,
+    # labels)`` pair of each positive root from `_positive_root_coeffs`,
+    # aligned with ``positive_roots``: its coefficients over the simple roots
+    # and its Cartan pairing.  ``cartan_rows`` holds the Cartan rows as
+    # sparse ``(index, entry)`` pairs, and ``simple_covectors`` the sparse
+    # covector ``gram . alpha_i`` of each simple root, so pairing a class
+    # with ``alpha_i`` is a dot product.  The hash is taken once: lru caches
+    # key on root systems.
+    _fields = ("lattice",)
+    __slots__ = _fields + (
+        "simple_roots", "cartan", "positive_roots", "type_label",
+        "closure", "cartan_rows", "simple_covectors", "_hash",
+    )
 
-    def __init__(
-        self,
-        lattice: IntersectionLattice,
-        simple_roots: tuple[DivisorClass, ...],
-        cartan: tuple[tuple[int, ...], ...],
-        positive_roots: tuple[DivisorClass, ...],
-        type_label: str,
-        closure: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
-        cartan_rows: tuple[tuple[tuple[int, int], ...], ...],
-        simple_covectors: tuple[tuple[tuple[int, int], ...], ...],
-    ):
-        super().__init__(lattice, simple_roots, cartan, positive_roots, type_label)
-        self._set(closure=closure, cartan_rows=cartan_rows, simple_covectors=simple_covectors)
-        self._set(_hash=hash(self._values()))
+    def __init__(self, lattice: IntersectionLattice):
+        super().__init__(lattice)
+        alphas = simple_roots(lattice)
+        for a in alphas:
+            if pair(lattice, a, lattice.K) != 0:
+                raise AssertionError("simple root fails the root equations")
+            if pair(lattice, a, lattice.C) != 0:
+                raise AssertionError("simple root not orthogonal to the marking class")
+        covectors = tuple(sparse_entries(gram_vector(lattice, a)) for a in alphas)
+        # Row i holds the labels -(alpha_i . alpha_j) of alpha_i; the diagonal
+        # check is the root equation alpha_i . alpha_i = -2.
+        cartan = tuple(tuple(-sum(a.coords[k] * v for k, v in cov) for cov in covectors) for a in alphas)
+        for i, row in enumerate(cartan):
+            for j, x in enumerate(row):
+                if not (x == 2 if i == j else x in (0, -1)):
+                    raise AssertionError("pairing of simple roots is not simply laced")
+        alpha_entries = [sparse_entries(a.coords) for a in alphas]
+        roots = []
+        for coeffs, labels in _positive_root_coeffs(cartan):
+            coords = [0] * lattice.rank
+            for c, entries in zip(coeffs, alpha_entries):
+                if c:
+                    for k, v in entries:
+                        coords[k] += c * v
+            roots.append((DivisorClass(tuple(coords)), (coeffs, labels)))
+        roots.sort()
+        closure = tuple(p for _, p in roots)
+        self._set(simple_roots=alphas, cartan=cartan, positive_roots=tuple(r for r, _ in roots))
+        self._set(type_label=_type_label(cartan, closure), closure=closure, simple_covectors=covectors)
+        self._set(cartan_rows=tuple(sparse_entries(row) for row in cartan), _hash=hash(self._values()))
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        return RootSystemData, self._values() + (self.closure, self.cartan_rows, self.simple_covectors)
 
     @property
     def rank(self) -> int:
@@ -155,7 +172,7 @@ def _positive_root_coeffs(
     when ``(r, alpha_j)`` equals -1, and every positive root is reachable by
     adding one simple root at a time.  Adding ``alpha_j`` adds row ``j`` of
     the Cartan matrix to the labels, so each step costs one row.
-    `build_root_system` is its one caller.
+    `RootSystemData` is its one caller.
     """
     rank = len(cartan)
     known = {tuple(1 if i == j else 0 for j in range(rank)): cartan[i] for i in range(rank)}
@@ -178,36 +195,7 @@ def _positive_root_coeffs(
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def build_root_system(lattice: IntersectionLattice) -> RootSystemData:
-    alphas = simple_roots(lattice)
-    for a in alphas:
-        if pair(lattice, a, lattice.K) != 0:
-            raise AssertionError("simple root fails the root equations")
-        if pair(lattice, a, lattice.C) != 0:
-            raise AssertionError("simple root not orthogonal to the marking class")
-    covectors = tuple(sparse_entries(gram_vector(lattice, a)) for a in alphas)
-    # Row i holds the labels -(alpha_i . alpha_j) of alpha_i; the diagonal
-    # check is the root equation alpha_i . alpha_i = -2.
-    cartan = tuple(tuple(-sum(a.coords[k] * v for k, v in cov) for cov in covectors) for a in alphas)
-    for i, row in enumerate(cartan):
-        for j, x in enumerate(row):
-            if not (x == 2 if i == j else x in (0, -1)):
-                raise AssertionError("pairing of simple roots is not simply laced")
-    alpha_entries = [sparse_entries(a.coords) for a in alphas]
-    roots = []
-    for coeffs, labels in _positive_root_coeffs(cartan):
-        coords = [0] * lattice.rank
-        for c, entries in zip(coeffs, alpha_entries):
-            if c:
-                for k, v in entries:
-                    coords[k] += c * v
-        roots.append((DivisorClass(tuple(coords)), (coeffs, labels)))
-    roots.sort()
-    closure = tuple(p for _, p in roots)
-    cartan_rows = tuple(sparse_entries(row) for row in cartan)
-    positive = tuple(r for r, _ in roots)
-    return RootSystemData(
-        lattice, alphas, cartan, positive, _type_label(cartan, closure), closure, cartan_rows, covectors
-    )
+    return RootSystemData(lattice)
 
 
 def classify_type(system: RootSystemData) -> str:

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adecox import DivisorClass, IntersectionLattice, SurfaceConfigD, SurfaceFamily, build_root_system
+from adecox import DivisorClass, RootSystemData, SurfaceConfigD, SurfaceFamily, build_lattice
 from adecox import cox as cox_module
+from adecox import roots as roots_module
 from adecox import selftest as selftest_module
 from adecox import weights as weights_module
 from adecox.cli import N_LIMITS, main
@@ -630,21 +631,24 @@ def test_readme_examples_run(capsys, argv):
     assert out
 
 
-def test_corrupted_lattice_is_rejected():
-    good = SurfaceFamily("D", 3)
-    # A positive definite gram matrix cannot host any (-2) classes, so the
-    # simple root construction must fail loudly rather than return nonsense.
-    rank = good.rank
-    gram = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
-    broken = IntersectionLattice(
-        family=good,
-        basis_labels=("f", "s", "l1", "l2", "l3"),
-        gram=gram,
-        K=DivisorClass((-2, -2, 1, 1, 1)),
-        C=DivisorClass((1, 0, 0, 0, 0)),
-    )
-    with pytest.raises(AssertionError):
-        build_root_system(broken)
+@pytest.mark.parametrize(
+    "alphas,message",
+    [
+        ([(0, 0, 1, 0, 0)], "simple root fails the root equations"),
+        ([(-1, 1, 0, 0, 0)], "simple root not orthogonal to the marking class"),
+        ([(0, 0, -1, 1, 0), (0, 0, 1, -1, 0)], "pairing of simple roots is not simply laced"),
+    ],
+    ids=["root-equation", "orthogonal-to-C", "simply-laced"],
+)
+def test_root_system_rejects_simple_roots_that_fail_a_check(monkeypatch, alphas, message):
+    # On D3 (basis f, s, l1, l2, l3): l1 pairs -1 with K; s - f pairs 0 with
+    # K but 1 with C = f; l2 - l1 and l1 - l2 pair to +2, a Cartan entry of
+    # -2.  Each must fail loudly rather than return nonsense.
+    lattice = build_lattice(SurfaceFamily("D", 3))
+    monkeypatch.setattr(roots_module, "simple_roots", lambda _: tuple(DivisorClass(a) for a in alphas))
+    with pytest.raises(AssertionError) as info:
+        RootSystemData(lattice)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("points", ["0,1,1e30000000", "0,1E3,2", "-2.5e-1,0,1"])

@@ -31,7 +31,7 @@ from adecox import (
     verify_hilbert,
 )
 from adecox import cox as cox_module
-from adecox.cox import CoxPresentation, Generator, _class_monomials, _monomial_table
+from adecox.cox import _class_monomials, _monomial_table
 from adecox.curves import KINDS
 from adecox.lattice import pair
 from adecox.linalg import rational_rank
@@ -275,13 +275,6 @@ def test_monomial_table_cap_counts_positions(monkeypatch):
     monkeypatch.setattr(cox_module, "MONOMIAL_CAP", 102_815)
     with pytest.raises(ValueError, match="102816 positions"):
         _monomial_table(pres, 6)
-
-
-def test_presentation_refuses_generators_out_of_layout():
-    lat = _lat("D", 3)
-    gens = [Generator(name, cls) for name, cls in cox_generators(lat)]
-    with pytest.raises(ValueError, match="cox_generators"):
-        CoxPresentation(lat, tuple(reversed(gens)), ())
 
 
 def test_verify_hilbert_refuses_a_table_past_the_cap_quickly():
