@@ -1,0 +1,129 @@
+"""Mutation runner: each committed mutant of the package must fail its tests.
+
+For each mutant it copies ``src`` and ``tests`` into a fresh temporary
+directory, replaces one exact piece of text in one package file, and runs
+the tests the mutant names against that copy under a timeout, one mutant at
+a time.  A mutant is killed when pytest finishes with failing tests (exit
+code 1) and survives when they pass; a timeout or any other exit code is
+an error.  The named tests first run once on an unmutated copy, which must
+pass, so a broken test cannot pass for a kill.  Stdlib only (pytest runs
+the tests)::
+
+    python tests/mutants.py
+
+Exits 0 when every mutant is killed, 1 otherwise.
+``test_source.py`` checks in tier-1 that each old text occurs exactly once.
+A change that cites a mutation adds it here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300
+
+# ``path`` is relative to src/adecox; ``tests`` are pytest node ids.
+Mutant = namedtuple("Mutant", "name path old new tests")
+
+_VALIDATE = "tests/test_value_classes.py::test_constructors_validate_with_the_same_messages[<lambda>-{}]"
+
+MUTANTS = (
+    Mutant(
+        "presentation-keeps-an-empty-relation",
+        "cox.py",
+        '            if not rel.terms:\n                raise ValueError("relation with no terms")\n',
+        "",
+        (_VALIDATE.format("relation with no terms"),),
+    ),
+    Mutant(
+        "presentation-keeps-a-zero-coefficient",
+        "cox.py",
+        '                if coeff == 0:\n                    raise ValueError("relation carries a zero coefficient")\n',
+        "",
+        (_VALIDATE.format("relation carries a zero coefficient"),),
+    ),
+    Mutant(
+        "presentation-keeps-an-inhomogeneous-relation",
+        "cox.py",
+        '                if total != rel.cls:\n                    raise ValueError("relation is not homogeneous")\n',
+        "",
+        (_VALIDATE.format("relation is not homogeneous"),),
+    ),
+    # C4 fails on the presentation's zero-coefficient refusal.
+    Mutant(
+        "dn-ideal-zero-coefficient",
+        "cox.py",
+        "(t[1] - t[i - 1], (0, n)),",
+        "(t[1] - t[1], (0, n)),",
+        ("tests/test_acceptance.py::test_acceptance[C4]",),
+    ),
+    # C4 reads the ray 0f..3f through git_hilbert.
+    Mutant(
+        "git-ray-reversed",
+        "cox.py",
+        "    return dims[::-1]\n",
+        "    return dims\n",
+        ("tests/test_acceptance.py::test_acceptance[C4]",),
+    ),
+    Mutant(
+        "ruling-module-zero-count",
+        "weights.py",
+        "_zero_multiset(system, 7))",
+        "_zero_multiset(system, 6))",
+        ("tests/test_acceptance.py::test_acceptance[C2]", "tests/test_acceptance.py::test_acceptance[C3]"),
+    ),
+)
+
+
+def _pytest(mutant: Mutant | None, tests) -> int | None:
+    """pytest's exit code on ``tests`` in a fresh copy with ``mutant``
+    applied (none if None), or None if the run timed out."""
+    with tempfile.TemporaryDirectory(prefix="adecox-mutant-") as tmp:
+        tree = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        if mutant is not None:
+            target = tree / "src" / "adecox" / mutant.path
+            target.write_text(target.read_text(encoding="utf-8").replace(mutant.old, mutant.new), encoding="utf-8")
+        path = os.pathsep.join(p for p in (str(tree / "src"), os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+        argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+        try:
+            return subprocess.run(argv, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S).returncode
+        except subprocess.TimeoutExpired:
+            return None
+
+
+def _status(mutant: Mutant) -> str:
+    count = (ROOT / "src" / "adecox" / mutant.path).read_text(encoding="utf-8").count(mutant.old)
+    if count != 1:
+        return f"error: old text occurs {count} times in {mutant.path}"
+    code = _pytest(mutant, mutant.tests)
+    if code is None:
+        return f"error: no result within {TIMEOUT_S} s"
+    return {0: "SURVIVED", 1: "killed"}.get(code, f"error: pytest exit code {code}")
+
+
+def main() -> int:
+    code = _pytest(None, sorted({t for m in MUTANTS for t in m.tests}))
+    if code != 0:
+        print(f"the named tests do not pass on the unmutated source (pytest exit code {code})")
+        return 1
+    killed = 0
+    for mutant in MUTANTS:
+        status = _status(mutant)
+        killed += status == "killed"
+        print(f"{mutant.name}: {status}", flush=True)
+    print(f"mutants: {killed}/{len(MUTANTS)} killed")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

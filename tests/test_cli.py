@@ -408,13 +408,13 @@ def test_selftest_passes_with_asserts_stripped():
 
 def test_selftest_reports_failures_with_exit_1(capsys, monkeypatch):
     def broken():
-        return False, "injected failure"
+        return ["injected failure"]
 
-    fake = (Check("C1", "always fails", broken),)
+    fake = (Check("C1", "always fails", broken, "never printed"),)
     monkeypatch.setattr(selftest_module, "CHECKS", fake)
     code, out, _ = run_cli(capsys, ["selftest"])
     assert code == 1
-    assert "FAIL" in out
+    assert "FAIL" in out and "injected failure" in out and "never printed" not in out
     assert "selftest: 0/1 checks passed" in out
 
 
@@ -428,7 +428,7 @@ def _raiser(exc):
 @pytest.mark.parametrize(
     "name,exc,check_id",
     [
-        ("graded_piece_dim", ValueError("boom"), "C4"),
+        ("verify_hilbert", ValueError("boom"), "C4"),
         ("decompose_sym2", AssertionError("recursion produced a non-positive multiplicity"), "C2"),
     ],
 )

@@ -5,7 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import adecox
+from mutants import MUTANTS
 
 PACKAGE = Path(__file__).parent.parent / "src" / "adecox"
 
@@ -70,19 +73,40 @@ def test_every_top_level_definition_is_used_or_exported():
     assert unused == []
 
 
-def test_import_loads_no_dataclasses_inspect_or_typing():
-    # Every CLI call is a cold process, so import cost is part of every
-    # answer; dataclasses (with inspect) once made up most of it.  -S -E
-    # keeps site and PYTHON* variables from loading modules first.
+def _loaded_by_import(*modules: str) -> list[str]:
+    """Which of ``modules`` a cold ``import adecox`` loads; -S -E keeps site
+    and PYTHON* variables from loading modules first."""
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import adecox; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
+        "print(' '.join(m for m in sys.argv[2:] if m in sys.modules))"
     )
     done = subprocess.run(
-        [sys.executable, "-S", "-E", "-c", code, str(PACKAGE.parent)],
+        [sys.executable, "-S", "-E", "-c", code, str(PACKAGE.parent), *modules],
         capture_output=True, text=True, timeout=60, check=True,
     )
-    assert done.stdout.split() == []
+    return done.stdout.split()
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # Every CLI call is a cold process, so import cost is part of every
+    # answer; dataclasses (with inspect) once made up most of it.
+    assert _loaded_by_import("dataclasses", "inspect", "typing") == []
+
+
+def test_import_loads_no_random():
+    # Only the selftest's C9 draws random numbers; it imports random itself.
+    assert _loaded_by_import("random") == []
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
+def test_each_mutant_changes_one_place_in_the_source(mutant):
+    # tests/mutants.py applies each replacement to a copy and runs the named
+    # tests; an old text that moved or repeats would mutate nothing or the
+    # wrong place.  The full run stays out of tier-1.
+    assert (PACKAGE / mutant.path).read_text(encoding="utf-8").count(mutant.old) == 1
+    assert mutant.new != mutant.old
+    for test in mutant.tests:
+        assert (PACKAGE.parent.parent / test.split("::")[0]).is_file()
 
 
 def _stores_only_its_parameters(init: ast.FunctionDef) -> bool:

@@ -137,6 +137,7 @@ class Check:
     check_id: str
     description: str
     fn: Callable
+    summary: str
 
 
 TWINS = {
@@ -321,6 +322,14 @@ def test_excluded_fields_stay_out_of_equality_hash_and_repr():
     assert A.QuadricSystem((), ()).substitution is None
 
 
+def _d3_relation(*terms):
+    """A D3 presentation with one relation of class f; x1 y1 sits at (0, 3)."""
+    lat = A.build_lattice(A.SurfaceFamily("D", 3))
+    return A.CoxPresentation(lat, (A.Relation(terms, A.basis_class(lat, "f")),))
+
+
+# The selftest does not repeat the presentation's three refusals (C4 and C7
+# fail by the exception), so these cases are what guards them.
 @pytest.mark.parametrize(
     "build,message",
     [
@@ -328,6 +337,9 @@ def test_excluded_fields_stay_out_of_equality_hash_and_repr():
         (lambda: A.SurfaceFamily("E", 9), "E family needs 3 <= n <= 8"),
         (lambda: A.SurfaceConfigD((0, Fraction(0))), "fiber positions must be pairwise distinct"),
         (lambda: A.QuadricSystem((), (A.Quadric(()),)), "quadric with no terms"),
+        (lambda: _d3_relation(), "relation with no terms"),
+        (lambda: _d3_relation((1, (0, 3)), (0, (1, 4))), "relation carries a zero coefficient"),
+        (lambda: _d3_relation((1, (0, 3)), (1, (0,))), "relation is not homogeneous"),
     ],
 )
 def test_constructors_validate_with_the_same_messages(build, message):
