@@ -16,10 +16,10 @@ Families differ in what can be written down explicitly:
   generators of class ``-K + C`` when n = 8) and the quadratic relations
   are only counted per class (`relation_census`), not constructed.
 
-A monomial is a nondecreasing tuple of positions: ``x_i`` at ``i - 1`` on
-A, and ``x_i`` at ``2(i - 1)``, ``y_i`` at ``2(i - 1) + 1`` on D.  The
-monomials of one class are listed in closed form (`_class_monomials`), in
-a fixed depth-first order over the pairs ``x_i, y_i``; the exact rank
+A monomial is a nondecreasing tuple of generator indices in the order of
+`cox_generators`: ``x_i`` is ``i - 1``, and on D ``y_i`` is ``n + i - 1``.
+The monomials of one class are listed in closed form (`_class_monomials`),
+in a fixed depth-first order over the pairs ``x_i, y_i``; the exact rank
 picks pivots by smallest column, and that order keeps elimination cheap.
 """
 
@@ -83,11 +83,10 @@ class Relation(_Frozen):
 
 class CoxPresentation(_Frozen):
     # The lattice and the relations are the key.  ``generators`` comes from
-    # `cox_generators`, in the layout `_class_monomials` reads positions
-    # off; it, ``_vectors`` and ``_groups`` take no part in equality, hash
-    # or repr.
+    # `cox_generators`, whose order numbers the generators in every
+    # monomial; it and ``_groups`` take no part in equality, hash or repr.
     _fields = ("lattice", "relations")
-    __slots__ = _fields + ("generators", "_vectors", "_groups")
+    __slots__ = _fields + ("generators", "_groups")
 
     def __init__(self, lattice: IntersectionLattice, relations: tuple[Relation, ...]):
         super().__init__(lattice, relations)
@@ -103,24 +102,14 @@ class CoxPresentation(_Frozen):
                     total = total + self.generators[idx].cls
                 if total != rel.cls:
                     raise ValueError("relation is not homogeneous")
-        # Monomials are nondecreasing tuples of positions: generators sorted
-        # by their last nonzero coordinate, which is x_1, y_1, x_2, y_2, ...
-        # on D and the generator order on A.
-        order = sorted(
-            range(len(self.generators)),
-            key=lambda i: max(j for j, c in enumerate(self.generators[i].cls.coords) if c),
-        )
-        position = {i: p for p, i in enumerate(order)}
-        vectors = tuple(self.generators[i].cls.coords for i in order)
-        self._set(_vectors=vectors)
         # Relations grouped by class as (class, degree, relations), each term
-        # as (integer coefficient, positions); scaling a relation by a
-        # nonzero integer leaves every rank unchanged.
+        # as (integer coefficient, sorted generator indices); scaling a
+        # relation by a nonzero integer leaves every rank unchanged.
         groups: dict[tuple[int, ...], list] = {}
         for rel in self.relations:
             den = math.lcm(*(Fraction(c).denominator for c, _ in rel.terms))
             terms = tuple(
-                (int(Fraction(c) * den), tuple(sorted(position[i] for i in mono)))
+                (int(Fraction(c) * den), tuple(sorted(mono)))
                 for c, mono in rel.terms
             )
             groups.setdefault(rel.cls.coords, []).append(terms)
@@ -270,21 +259,22 @@ def _has_known_sections(
 def _class_monomials(
     presentation: CoxPresentation, target: tuple[int, ...]
 ) -> list[tuple[int, ...]]:
-    """Position tuples of the monomials of class ``target``, listed in closed form.
+    """Generator-index tuples of the monomials of class ``target``, listed in
+    closed form.
 
-    Positions follow the layout of ``_vectors``.  A family:
-    position ``i - 1`` is ``x_i = l_i``, so the class has the one monomial
-    ``prod x_i^{c_i}``, or none if some ``c_i < 0``.  D family: ``x_i`` sits
-    at ``2(i - 1)`` and ``y_i`` at ``2(i - 1) + 1``.  For
+    A family: ``x_i = l_i``, so the class has the one monomial
+    ``prod x_i^{c_i}``, or none if some ``c_i < 0``.  D family: for
     ``target = a f + sum c_i l_i`` pair i contributes ``x_i^{c_i + b_i}
     y_i^{b_i}`` with ``b_i = need_i + e_i``, ``need_i = max(0, -c_i)`` and the
-    ``e_i`` spreading the slack ``a - sum need_i`` over the n pairs.
+    ``e_i`` spreading the slack ``a - sum need_i`` over the n pairs.  The walk
+    carries the x part and the y part apart, so that each tuple comes out
+    sorted.
 
-    The order is that of a depth-first walk over the pairs, each pair taking
+    The list follows a depth-first walk over the pairs, each pair taking
     ``e = 0`` first and then ``e = r, r - 1, ..., 1`` of the ``r`` left, the
     last pair taking all of ``r``.  The rank elimination picks pivots by
     smallest column, so this order keeps its fill-in small: sorted order
-    made D7 at 4f and D8 at 3f two to three times slower.
+    made D7 at 4f and D8 at 3f two to four times slower.
     A class whose monomials would hold more than ``MONOMIAL_CAP`` positions
     is refused before any is listed.
     """
@@ -313,18 +303,18 @@ def _class_monomials(
             f"{count * degree} positions, which exceeds the cap {MONOMIAL_CAP}"
         )
     if fam.kind == "A":
-        return [tuple(p for p, c in enumerate(target[1:]) for _ in range(c))]
+        return [tuple(i for i, c in enumerate(target[1:]) for _ in range(c))]
     out: list[tuple[int, ...]] = []
-    stack = [(0, slack, ())]
+    stack = [(0, slack, (), ())]
     while stack:
-        k, r, mono = stack.pop()
+        k, r, xs, ys = stack.pop()
         if k > last:
-            out.append(mono)
+            out.append(xs + ys)
             continue
         # Popped as e = 0, r, ..., 1; the last pair takes all of r.
         for e in (r,) if k == last else (*range(1, r + 1), 0):
             b = needs[k] + e
-            stack.append((k + 1, r - e, mono + (2 * k,) * (cs[k] + b) + (2 * k + 1,) * b))
+            stack.append((k + 1, r - e, xs + (k,) * (cs[k] + b), ys + (fam.n + k,) * b))
     return out
 
 
@@ -335,15 +325,13 @@ def _monomial_table(
 
     Entry k maps each class of degree k to its monomials.  Built degree by
     degree: a degree-k monomial is extended by each generator at or after
-    its last position, so every monomial is listed once and costs one
-    tuple add for its class.  ``MONOMIAL_CAP`` bounds the positions of the
-    whole table: ``sum_k k C(count + k - 1, k) = count C(count + m, m - 1)``
-    for ``m = max_degree``.
+    its last one, so every monomial is listed once and costs one tuple add
+    for its class.  ``MONOMIAL_CAP`` bounds the positions of the whole
+    table: ``sum_k k C(count + k - 1, k) = count C(count + m, m - 1)`` for
+    ``m = max_degree``.
     """
-    vectors = presentation._vectors
+    vectors = [g.cls.coords for g in presentation.generators]
     count = len(vectors)
-    if max_degree < 0:
-        return []
     size = count * math.comb(count + max_degree, max_degree - 1) if max_degree else 0
     if size > MONOMIAL_CAP:
         raise ValueError(
@@ -355,13 +343,13 @@ def _monomial_table(
         level: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for cls, monos in levels[-1].items():
             for mono in monos:
-                for p in range(mono[-1] if mono else 0, count):
-                    key = tuple(map(add, cls, vectors[p]))
+                for i in range(mono[-1] if mono else 0, count):
+                    key = tuple(map(add, cls, vectors[i]))
                     bucket = level.get(key)
                     if bucket is None:
-                        level[key] = [mono + (p,)]
+                        level[key] = [mono + (i,)]
                     else:
-                        bucket.append(mono + (p,))
+                        bucket.append(mono + (i,))
         levels.append(level)
     return levels
 

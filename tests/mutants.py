@@ -79,6 +79,59 @@ MUTANTS = (
         "_zero_multiset(system, 6))",
         ("tests/test_acceptance.py::test_acceptance[C2]", "tests/test_acceptance.py::test_acceptance[C3]"),
     ),
+    # y_k numbered as x_k: the monomials of a class name the wrong generators.
+    Mutant(
+        "class-monomials-y-numbering",
+        "cox.py",
+        "ys + (fam.n + k,) * b",
+        "ys + (k,) * b",
+        (
+            "tests/test_cox.py::test_class_monomials_keep_the_walk_order",
+            "tests/test_cox.py::test_new_monomial_sources_match_the_old_bucketing",
+        ),
+    ),
+    # The dataclass the value classes replaced hashed the tuple of fields.
+    Mutant(
+        "divisor-class-hash-unwrapped",
+        "lattice.py",
+        "return hash((self.coords,))",
+        "return hash(self.coords)",
+        ("tests/test_value_classes.py::test_repr_hash_and_equality_match_the_dataclass",),
+    ),
+    Mutant(
+        "divisor-class-order-not-strict",
+        "lattice.py",
+        "return self.coords < other.coords",
+        "return self.coords <= other.coords",
+        ("tests/test_value_classes.py::test_divisor_classes_sort_and_compare_as_the_dataclass",),
+    ),
+    # C9's box search solves two coordinates by Cramer's rule; a flipped sign
+    # finds other classes than the full-box scan.
+    Mutant(
+        "box-search-cramer-sign",
+        "selftest.py",
+        "divmod(rk * gc[q] - gk[q] * rc, minor)",
+        "divmod(gk[q] * rc - rk * gc[q], minor)",
+        ("tests/test_curves.py::test_box_search_matches_full_box_and_enumerators",),
+    ),
+    # _Frozen.__init__ already binds the fields; a value class does not
+    # write out a constructor that only stores them.
+    Mutant(
+        "generator-stores-its-fields",
+        "cox.py",
+        'class Generator(_Frozen):\n    __slots__ = _fields = ("name", "cls")\n',
+        'class Generator(_Frozen):\n    __slots__ = _fields = ("name", "cls")\n\n'
+        "    def __init__(self, name, cls):\n        super().__init__(name, cls)\n",
+        ("tests/test_source.py::test_no_value_class_writes_out_a_constructor_that_only_stores_its_fields",),
+    ),
+    # C1 compares the enumerated D roots with 2n(n - 1).
+    Mutant(
+        "d-root-count",
+        "selftest.py",
+        "2 * n * (n - 1)",
+        "n * (n + 1)",
+        ("tests/test_acceptance.py::test_acceptance[C1]",),
+    ),
 )
 
 

@@ -277,7 +277,7 @@ DERIVED = {
         "cartan_rows",
         "simple_covectors",
     ),
-    A.CoxPresentation: ("generators", "_vectors", "_groups"),
+    A.CoxPresentation: ("generators", "_groups"),
 }
 
 
