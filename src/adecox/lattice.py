@@ -15,6 +15,11 @@ selects the family).  The three families are
 
 ``n = 3`` in the ``E`` family and ``n = 2`` in the ``D`` family are the
 degenerate small-rank cases; they are supported but flagged.
+
+Every Gram matrix here has one nonzero entry per row: ``diag(1, -1, ...)``
+on ``E`` and ``A``, the ``f.s`` hyperbolic block plus ``-I`` on ``D``.  The
+lattice keeps it once, as sparse rows; `pair` walks them, and `covector`
+turns a class into the sparse covector that other modules pair with.
 """
 
 from __future__ import annotations
@@ -147,9 +152,6 @@ class DivisorClass(_Frozen):
 
     __rmul__ = __mul__
 
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
     def __repr__(self) -> str:
         return f"DivisorClass{self.coords}"
 
@@ -183,13 +185,16 @@ class SurfaceFamily(_Frozen):
 
 
 class IntersectionLattice(_Frozen):
-    # The family is the whole key: the basis, gram matrix, ``K`` and ``C``
-    # are derived from it and take no part in equality, hash or repr.
-    # ``c_covector`` is the sparse covector ``gram . C`` as ``(coordinate,
-    # entry)`` pairs, so that pairing a class with ``C`` is a dot product.
-    # The hash is taken once: lru caches key on lattices and root systems.
+    # The family is the whole key: the basis, the form, ``K`` and ``C`` are
+    # derived from it and take no part in equality, hash or repr.  The form
+    # is kept once, as ``gram_rows``: row ``i`` holds the nonzero ``(column,
+    # entry)`` pairs of the Gram matrix, one per row on every family.  Only
+    # this module reads it; the others go through `pair` and `covector`.
+    # ``c_covector`` is ``covector(self, C)``, so that pairing a class with
+    # ``C`` is a dot product.  The hash is taken once: lru caches key on
+    # lattices and root systems.
     _fields = ("family",)
-    __slots__ = _fields + ("basis_labels", "gram", "K", "C", "c_covector", "_hash")
+    __slots__ = _fields + ("basis_labels", "gram_rows", "K", "C", "c_covector", "_hash")
 
     def __init__(self, family: SurfaceFamily):
         super().__init__(family)
@@ -197,10 +202,7 @@ class IntersectionLattice(_Frozen):
         rank = family.rank
         if family.kind in ("E", "A"):
             labels = ("h",) + tuple(f"l{i}" for i in range(1, n + 2))
-            gram = tuple(
-                tuple((1 if i == 0 else -1) if i == j else 0 for j in range(rank))
-                for i in range(rank)
-            )
+            rows = (((0, 1),),) + tuple(((i, -1),) for i in range(1, rank))
             K = DivisorClass((-3,) + (1,) * (n + 1))
             if family.kind == "E":
                 C = DivisorClass((0,) * (rank - 1) + (1,))
@@ -208,21 +210,11 @@ class IntersectionLattice(_Frozen):
                 C = DivisorClass((1,) + (0,) * (rank - 1))
         else:
             labels = ("f", "s") + tuple(f"l{i}" for i in range(1, n + 1))
-            rows = []
-            for i in range(rank):
-                row = [0] * rank
-                if i == 0:
-                    row[1] = 1
-                elif i == 1:
-                    row[0] = 1
-                else:
-                    row[i] = -1
-                rows.append(tuple(row))
-            gram = tuple(rows)
+            rows = (((1, 1),), ((0, 1),)) + tuple(((i, -1),) for i in range(2, rank))
             K = DivisorClass((-2, -2) + (1,) * n)
             C = DivisorClass((1,) + (0,) * (rank - 1))
-        self._set(basis_labels=labels, gram=gram, K=K, C=C)
-        self._set(c_covector=sparse_entries(gram_vector(self, C)), _hash=hash(self._values()))
+        self._set(basis_labels=labels, gram_rows=rows, K=K, C=C)
+        self._set(c_covector=covector(self, C), _hash=hash(self._values()))
 
     def __hash__(self) -> int:
         return self._hash
@@ -247,17 +239,14 @@ def basis_class(lattice: IntersectionLattice, label: str) -> DivisorClass:
 
 def pair(lattice: IntersectionLattice, d1: DivisorClass, d2: DivisorClass) -> int:
     """Intersection pairing of two classes."""
-    if len(d1.coords) != lattice.rank or len(d2.coords) != lattice.rank:
+    x, y = d1.coords, d2.coords
+    if len(x) != lattice.rank or len(y) != lattice.rank:
         raise ValueError("coordinate length does not match the lattice rank")
-    gram = lattice.gram
     total = 0
-    for i, a in enumerate(d1.coords):
-        if not a:
-            continue
-        row = gram[i]
-        for j, b in enumerate(d2.coords):
-            if b and row[j]:
-                total += a * row[j] * b
+    for a, row in zip(x, lattice.gram_rows):
+        if a:
+            for j, g in row:
+                total += a * g * y[j]
     return total
 
 
@@ -266,12 +255,10 @@ def degree(lattice: IntersectionLattice, d: DivisorClass) -> int:
     return -pair(lattice, d, lattice.K)
 
 
-def gram_vector(lattice: IntersectionLattice, d: DivisorClass) -> tuple[int, ...]:
-    """The covector ``gram @ d``, so that pairing with ``d`` is a dot product."""
-    return tuple(
-        sum(lattice.gram[i][j] * d.coords[j] for j in range(lattice.rank))
-        for i in range(lattice.rank)
-    )
+def covector(lattice: IntersectionLattice, d: DivisorClass) -> tuple[tuple[int, int], ...]:
+    """The covector ``gram @ d`` as its nonzero ``(index, entry)`` pairs, so
+    that pairing a class with ``d`` is a sparse dot product."""
+    return sparse_entries(sum(g * d.coords[j] for j, g in row) for row in lattice.gram_rows)
 
 
 def sparse_entries(vector) -> tuple[tuple[int, int], ...]:

@@ -42,7 +42,7 @@ from .lattice import (
     IntersectionLattice,
     _Frozen,
     basis_class,
-    gram_vector,
+    covector,
     pair,
     sparse_entries,
 )
@@ -54,10 +54,10 @@ class RootSystemData(_Frozen):
     # labels)`` pair of each positive root from `_positive_root_coeffs`,
     # aligned with ``positive_roots``: its coefficients over the simple roots
     # and its Cartan pairing.  ``cartan_rows`` holds the Cartan rows as
-    # sparse ``(index, entry)`` pairs, and ``simple_covectors`` the sparse
-    # covector ``gram . alpha_i`` of each simple root, so pairing a class
-    # with ``alpha_i`` is a dot product.  The hash is taken once: lru caches
-    # key on root systems.
+    # sparse ``(index, entry)`` pairs, and ``simple_covectors`` holds
+    # ``covector(lattice, alpha_i)`` for each simple root, so pairing a class
+    # with ``alpha_i`` is a sparse dot product.  The hash is taken once: lru
+    # caches key on root systems.
     _fields = ("lattice",)
     __slots__ = _fields + (
         "simple_roots", "cartan", "positive_roots", "type_label",
@@ -72,7 +72,7 @@ class RootSystemData(_Frozen):
                 raise AssertionError("simple root fails the root equations")
             if pair(lattice, a, lattice.C) != 0:
                 raise AssertionError("simple root not orthogonal to the marking class")
-        covectors = tuple(sparse_entries(gram_vector(lattice, a)) for a in alphas)
+        covectors = tuple(covector(lattice, a) for a in alphas)
         # Row i holds the labels -(alpha_i . alpha_j) of alpha_i; the diagonal
         # check is the root equation alpha_i . alpha_i = -2.
         cartan = tuple(tuple(-sum(a.coords[k] * v for k, v in cov) for cov in covectors) for a in alphas)

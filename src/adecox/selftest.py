@@ -47,7 +47,6 @@ from .lattice import (
     _Frozen,
     basis_class,
     build_lattice,
-    gram_vector,
     pair,
 )
 from .roots import build_root_system, classify_type, reflect, weyl_orbit
@@ -406,9 +405,9 @@ def _naive_classes(lattice: IntersectionLattice, kind: str) -> frozenset[Divisor
     )
     bound = 2 * max(spread, 1)
     rank = lattice.rank
-    gk = gram_vector(lattice, lattice.K)
-    gc = gram_vector(lattice, lattice.C)
-    gram = lattice.gram
+    units = [basis_class(lattice, label) for label in lattice.basis_labels]
+    gk = [pair(lattice, e, lattice.K) for e in units]
+    gc = [pair(lattice, e, lattice.C) for e in units]
     p, q = next(
         (i, j) for i in range(rank) for j in range(i + 1, rank) if gk[i] * gc[j] != gk[j] * gc[i]
     )
@@ -433,13 +432,9 @@ def _naive_classes(lattice: IntersectionLattice, kind: str) -> frozenset[Divisor
             or sum(a * b for a, b in zip(coords, gc)) != 0
         ):
             raise AssertionError(f"box point {coords} misses the K- or C-degree condition")
-        square = 0
-        for i, ci in enumerate(coords):
-            if ci:
-                row = gram[i]
-                square += ci * sum(row[j] * coords[j] for j in range(rank) if coords[j])
-        if square == self_int:
-            found.append(DivisorClass(tuple(coords)))
+        cls = DivisorClass(tuple(coords))
+        if pair(lattice, cls, cls) == self_int:
+            found.append(cls)
     return frozenset(found)
 
 

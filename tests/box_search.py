@@ -8,9 +8,8 @@ three defining conditions, so the two must find the same classes.
 
 from itertools import product as iterproduct
 
-from adecox import DivisorClass
+from adecox import DivisorClass, basis_class, pair
 from adecox.curves import ENUMERATORS, KINDS
-from adecox.lattice import gram_vector
 
 
 def full_box_classes(lattice, kind):
@@ -27,20 +26,16 @@ def full_box_classes(lattice, kind):
     )
     bound = 2 * max(spread, 1)
     rank = lattice.rank
-    gk = gram_vector(lattice, lattice.K)
-    gc = gram_vector(lattice, lattice.C)
-    gram = lattice.gram
+    units = [basis_class(lattice, label) for label in lattice.basis_labels]
+    gk = [pair(lattice, e, lattice.K) for e in units]
+    gc = [pair(lattice, e, lattice.C) for e in units]
     found = []
     for coords in iterproduct(range(-bound, bound + 1), repeat=rank):
         if sum(a * b for a, b in zip(coords, gk)) != k_int:
             continue
         if sum(a * b for a, b in zip(coords, gc)) != 0:
             continue
-        q = 0
-        for i, ci in enumerate(coords):
-            if ci:
-                row = gram[i]
-                q += ci * sum(row[j] * coords[j] for j in range(rank) if coords[j])
-        if q == self_int:
-            found.append(DivisorClass(coords))
+        cls = DivisorClass(coords)
+        if pair(lattice, cls, cls) == self_int:
+            found.append(cls)
     return frozenset(found)

@@ -124,6 +124,18 @@ MUTANTS = (
         "    def __init__(self, name, cls):\n        super().__init__(name, cls)\n",
         ("tests/test_source.py::test_no_value_class_writes_out_a_constructor_that_only_stores_its_fields",),
     ),
+    # The D form's hyperbolic entry f.s = 1 with its sign flipped in row f:
+    # the form is no longer symmetric and pairs f with s to -1.
+    Mutant(
+        "d-gram-f-s-sign",
+        "lattice.py",
+        "rows = (((1, 1),), ((0, 1),))",
+        "rows = (((1, -1),), ((0, 1),))",
+        (
+            "tests/test_lattice.py::test_pair_and_covector_match_the_reference_gram[D4]",
+            "tests/test_lattice.py::test_gram_is_symmetric_and_unimodular[D4]",
+        ),
+    ),
     # C1 compares the enumerated D roots with 2n(n - 1).
     Mutant(
         "d-root-count",

@@ -420,7 +420,7 @@ def test_torus_character_e8_shift_is_unseen_by_the_small_torus():
     lat = _lat("E", 8)
     reduced, weight = torus_character(lat, anticanonical_shift(lat))
     assert weight == (0,) * 8
-    assert not reduced.is_zero()
+    assert reduced != lat.zero()
 
 
 def test_torus_characters_separate_e6_generators():

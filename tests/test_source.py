@@ -37,16 +37,26 @@ def _names_used(tree):
                 yield alias.name, node.lineno
 
 
-def test_only_roots_runs_the_positive_root_closure():
-    # build_root_system runs the closure once per root system and keeps it;
-    # the weight routines read what it kept and do not import the closure.
-    modules = [
+def _uses(wanted: str) -> list[str]:
+    """The package module of each use of the name or attribute ``wanted``."""
+    return [
         path.name
         for path in sorted(PACKAGE.glob("*.py"))
         for name, _ in _names_used(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-        if name == "_positive_root_coeffs"
+        if name == wanted
     ]
-    assert modules == ["roots.py"]
+
+
+def test_only_roots_runs_the_positive_root_closure():
+    # build_root_system runs the closure once per root system and keeps it;
+    # the weight routines read what it kept and do not import the closure.
+    assert _uses("_positive_root_coeffs") == ["roots.py"]
+
+
+def test_only_lattice_reads_the_gram_rows():
+    # The lattice keeps its intersection form once; every other module
+    # pairs through pair or covector, so no second copy of the form grows.
+    assert set(_uses("gram_rows")) == {"lattice.py"}
 
 
 def test_every_top_level_definition_is_used_or_exported():

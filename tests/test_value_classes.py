@@ -45,7 +45,7 @@ class SurfaceFamily:
 class IntersectionLattice:
     family: object
     basis_labels: tuple = field(init=False, compare=False, repr=False)
-    gram: tuple = field(init=False, compare=False, repr=False)
+    gram_rows: tuple = field(init=False, compare=False, repr=False)
     K: object = field(init=False, compare=False, repr=False)
     C: object = field(init=False, compare=False, repr=False)
     c_covector: tuple = field(init=False, compare=False, repr=False)
@@ -267,7 +267,7 @@ def test_copies_and_pickles_are_equal(cls):
 
 
 DERIVED = {
-    A.IntersectionLattice: ("basis_labels", "gram", "K", "C", "c_covector"),
+    A.IntersectionLattice: ("basis_labels", "gram_rows", "K", "C", "c_covector"),
     A.RootSystemData: (
         "simple_roots",
         "cartan",
