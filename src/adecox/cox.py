@@ -18,9 +18,9 @@ Families differ in what can be written down explicitly:
 
 A monomial is a nondecreasing tuple of generator indices in the order of
 `cox_generators`: ``x_i`` is ``i - 1``, and on D ``y_i`` is ``n + i - 1``.
-The monomials of one class are listed in closed form (`_class_monomials`),
-in a fixed depth-first order over the pairs ``x_i, y_i``; the exact rank
-picks pivots by smallest column, and that order keeps elimination cheap.
+The monomials of one class are listed in closed form (`_class_monomials`)
+or from one table per call (`_monomial_table`), in any order: `_piece_dim`
+alone orders them as the columns of the exact rank.
 """
 
 from __future__ import annotations
@@ -268,15 +268,8 @@ def _class_monomials(
     y_i^{b_i}`` with ``b_i = need_i + e_i``, ``need_i = max(0, -c_i)`` and the
     ``e_i`` spreading the slack ``a - sum need_i`` over the n pairs.  The walk
     carries the x part and the y part apart, so that each tuple comes out
-    sorted.
-
-    The list follows a depth-first walk over the pairs, each pair taking
-    ``e = 0`` first and then ``e = r, r - 1, ..., 1`` of the ``r`` left, the
-    last pair taking all of ``r``.  The rank elimination picks pivots by
-    smallest column, so this order keeps its fill-in small: sorted order
-    made D7 at 4f and D8 at 3f two to four times slower.
-    A class whose monomials would hold more than ``MONOMIAL_CAP`` positions
-    is refused before any is listed.
+    sorted.  A class whose monomials would hold more than ``MONOMIAL_CAP``
+    positions is refused before any is listed.
     """
     fam = presentation.lattice.family
     if fam.kind == "A":
@@ -311,8 +304,7 @@ def _class_monomials(
         if k > last:
             out.append(xs + ys)
             continue
-        # Popped as e = 0, r, ..., 1; the last pair takes all of r.
-        for e in (r,) if k == last else (*range(1, r + 1), 0):
+        for e in (r,) if k == last else range(r + 1):
             b = needs[k] + e
             stack.append((k + 1, r - e, xs + (k,) * (cs[k] + b), ys + (fam.n + k,) * b))
     return out
@@ -359,9 +351,13 @@ def _piece_dim(presentation: CoxPresentation, monomials, shift_lists) -> int:
 
     ``shift_lists[k]`` holds the monomials of class ``d - cls`` for the k-th
     relation group; every relation of the group times every shift is one
-    row over the columns ``monomials``.
+    row.  Listed in any order, the columns are numbered here, in descending
+    tuple order: graded reverse lex with ``x_1`` last.  There the D
+    relations lead with ``x_i y_i`` (i >= 3), pairwise coprime, so they are
+    a Groebner basis (Buchberger's first criterion), and the rows with
+    distinct leading monomials form the staircase `rational_rank` keeps.
     """
-    index = {mono: j for j, mono in enumerate(monomials)}
+    index = {mono: j for j, mono in enumerate(sorted(monomials, reverse=True))}
     rows = []
     for (_, _, rels), shifts in zip(presentation._groups, shift_lists):
         for shift in shifts:
@@ -371,8 +367,6 @@ def _piece_dim(presentation: CoxPresentation, monomials, shift_lists) -> int:
                     col = index[tuple(sorted(mono + shift))]
                     row[col] = row.get(col, 0) + coeff
                 rows.append(row)
-    if not rows:
-        return len(monomials)
     return len(monomials) - rational_rank(rows)
 
 

@@ -146,8 +146,8 @@ def embed_cox_into_cone_D(
             break
     if c is None:
         raise AssertionError("no all-nonzero combination of relation rows found")
-    rank_before = rational_rank(tuple(tuple(r) for r in rows))
-    rank_after = rational_rank(tuple(tuple(r) for r in rows) + (tuple(c),))
+    rank_before = rational_rank(rows)
+    rank_after = rational_rank(rows + [c])
     certified = rank_before == rank_after == n - 2
 
     cone = cone_quadric_D(lattice)

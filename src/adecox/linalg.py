@@ -3,8 +3,9 @@
 ``rational_rank`` is the package's one rank kernel.  Its matrices are sparse
 and tall (a relation times a monomial has at most a few nonzero entries), so
 it eliminates fraction-free over the integers on ``{column: value}`` rows,
-each scaled to integers and divided by the gcd of its entries.  No floating
-point anywhere.
+each scaled to integers and divided by the gcd of its entries.  Rows whose
+smallest column is fresh are already in echelon form and are kept as they
+are; only the rest are reduced.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -37,15 +38,18 @@ def rational_rank(rows) -> int:
 
     A row is a dense sequence or a ``{column: value}`` dict; entries are
     integers, ``Fraction`` values or anything ``Fraction`` accepts.  Each
-    stored pivot row is keyed by its smallest column.  An incoming row is
-    reduced against the pivot at its smallest column, ``a*row - b*pivot``
-    with ``a/b`` the ratio of the two leading entries in lowest terms,
-    until that column has no pivot (the row joins the basis) or the row
-    vanishes (it was dependent).
+    stored pivot row is keyed by its smallest column.  Fresh pivots come
+    first: for each smallest column, the first nonzero row with it is stored
+    unreduced.  Every other row is then reduced against the pivot at its
+    smallest column, ``a*row - b*pivot`` with ``a/b`` the ratio of the two
+    leading entries in lowest terms, until that column has no pivot (the
+    row joins the basis) or the row vanishes (it was dependent).
     """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        vec = _integer_row(row)
+    rows = [v for v in map(_integer_row, rows) if v]
+    pivots = {min(v): v for v in reversed(rows)}
+    for vec in rows:
+        if pivots[min(vec)] is vec:
+            continue
         while vec:
             col = min(vec)
             piv = pivots.get(col)

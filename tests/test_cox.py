@@ -31,7 +31,7 @@ from adecox import (
     verify_hilbert,
 )
 from adecox import cox as cox_module
-from adecox.cox import _class_monomials, _monomial_table
+from adecox.cox import _class_monomials, _monomial_table, _piece_dim
 from adecox.curves import KINDS
 from adecox.lattice import pair
 from adecox.linalg import rational_rank
@@ -224,17 +224,36 @@ def test_graded_piece_dim_past_the_old_enumeration_cap():
         assert graded_piece_dim(pres, lat, f * k) == k + 1
 
 
-def test_class_monomials_keep_the_walk_order():
-    # Pair by pair, e = 0 first and then e = r, ..., 1: the pivot order of
-    # the rank elimination depends on it.
-    lat = _lat("D", 3)
-    pres = cox_presentation(lat, _points(3))
+def test_piece_dim_does_not_depend_on_the_listing_order():
+    # _piece_dim numbers the columns itself, so the listers may give their
+    # monomials and shifts in any order.
+    rng = random.Random(7)
+    for n in range(3, 7):
+        lat = _lat("D", n)
+        pres = cox_presentation(lat, _seeded_points(n, seed=n))
+        f, l1, ln = (basis_class(lat, label) for label in ("f", "l1", f"l{n}"))
+        for cls in (f * 2, f * 3, f * 3 - l1, f * 2 + ln, f * 4 - l1 - ln):
+            monomials = _class_monomials(pres, cls.coords)
+            shift_lists = [
+                _class_monomials(pres, tuple(a - b for a, b in zip(cls.coords, rel_cls)))
+                for rel_cls, _, _ in pres._groups
+            ]
+            for monos in (monomials, *shift_lists):
+                rng.shuffle(monos)
+            assert _piece_dim(pres, monomials, shift_lists) == graded_piece_dim(pres, lat, cls)
+
+
+def test_d6_at_10f_is_its_standard_monomial_count_quickly():
+    # 3,003 monomials and 5,148 relation rows; an elimination that fills in
+    # takes 11-13 s here.
+    lat = _lat("D", 6)
+    pres = cox_presentation(lat, _points(6))
     f = basis_class(lat, "f")
-    l1 = basis_class(lat, "l1")
-    assert _class_monomials(pres, (f * 2).coords) == [
-        (2, 2, 5, 5), (1, 1, 4, 4), (1, 2, 4, 5), (0, 0, 3, 3), (0, 2, 3, 5), (0, 1, 3, 4),
-    ]
-    assert _class_monomials(pres, (f * 2 - l1).coords) == [(2, 3, 5), (1, 3, 4), (0, 3, 3)]
+    start = time.perf_counter()
+    dim = graded_piece_dim(pres, lat, f * 10)
+    elapsed = time.perf_counter() - start
+    assert dim == _standard_monomials(lat, f * 10)[0] == 11
+    assert elapsed < 5
 
 
 def test_graded_piece_dim_refuses_by_count_before_listing():

@@ -112,11 +112,14 @@ def test_import_loads_no_random():
 def test_each_mutant_changes_one_place_in_the_source(mutant):
     # tests/mutants.py applies each replacement to a copy and runs the named
     # tests; an old text that moved or repeats would mutate nothing or the
-    # wrong place.  The full run stays out of tier-1.
+    # wrong place, and a test that is gone would fail the run only there.
+    # The full run stays out of tier-1.
     assert (PACKAGE / mutant.path).read_text(encoding="utf-8").count(mutant.old) == 1
     assert mutant.new != mutant.old
     for test in mutant.tests:
-        assert (PACKAGE.parent.parent / test.split("::")[0]).is_file()
+        path, name = test.split("[")[0].split("::")
+        tree = ast.parse((PACKAGE.parent.parent / path).read_text(encoding="utf-8"))
+        assert name in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}, test
 
 
 def _stores_only_its_parameters(init: ast.FunctionDef) -> bool:
