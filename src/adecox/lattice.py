@@ -28,9 +28,9 @@ from functools import lru_cache, total_ordering
 
 E_RANGE = range(3, 9)
 
-# Entries kept by each module-level cache, whether keyed on a surface or on
-# caller-supplied weights and Cartan matrices.  A selftest run touches 16
-# lattices and 48 (lattice, kind) enumeration keys.
+# Entries kept by each module-level cache, whether keyed on a surface, on a
+# root system or on a root system and caller-supplied weights.  A selftest
+# run touches 16 lattices and 48 (lattice, kind) enumeration keys.
 CACHE_MAXSIZE = 64
 
 

@@ -2,8 +2,8 @@
 
 The sublattice of classes orthogonal to both ``K`` and ``C`` is a (negated)
 root lattice.  A root here is a class with self intersection -2; adjacent
-simple roots pair to +1, so the Cartan matrix is ``cartan[i][j] =
--(alpha_i . alpha_j)`` with diagonal 2 and off-diagonal entries in {0, -1}.
+simple roots pair to +1, so the Cartan matrix, entry ``-(alpha_i . alpha_j)``,
+has diagonal 2 and off-diagonal entries in {0, -1}.
 
 Simple root conventions:
 
@@ -14,18 +14,23 @@ Simple root conventions:
   that pairs to +1 with ``alpha_3``, i.e. the class completing the fork.
 * ``A`` family: ``alpha_i = l_(i+1) - l_i`` for ``1 <= i <= n``, a chain.
 
-The Dynkin type is read off the positive roots: a connected component of
-rank k has k(k+1)/2 of them for A_k, k(k-1) for D_k, and 36, 63 and 120 for
-E6, E7 and E8.  No other count occurs, since the root closure only ends on
-a finite (ADE) system, and A3 = D3, with six, is named A3.  So the small
-cases come out under their isomorphic names: (E,3) -> A2xA1, (E,4) -> A4,
-(E,5) -> D5, (D,2) -> A1xA1, (D,3) -> A3.
+The Dynkin type is read off the highest roots.  In an irreducible root
+system the highest root is the one positive root that no simple root
+extends (Humphreys, Introduction to Lie Algebras and Representation Theory,
+10.4 Lemma A), and its height is h - 1, h the Coxeter number.  So each
+positive root with no label -1 is the highest root of its component; its
+support has k nodes, and its height is k for A_k, 2k - 3 for D_k, and 11,
+17 and 29 for E6, E7 and E8.  No other system occurs, since the root
+closure only ends on a finite (ADE) system, and A3 = D3, of height 3, is
+named A3.  So the small cases come out under their isomorphic names:
+(E,3) -> A2xA1, (E,4) -> A4, (E,5) -> D5, (D,2) -> A1xA1, (D,3) -> A3.
 
 A root system is keyed by its lattice alone: `RootSystemData(lattice)` is
 the one place that derives Weyl data.  It reads the Cartan matrix off the
 simple-root covectors, runs the positive-root closure once and keeps each
-root's coefficients and labels beside the sparse Cartan rows, so the weight
-routines in `weights` only read them; `build_root_system` caches it.
+root's coefficients and labels beside the sparse Cartan rows, the one
+Cartan matrix it keeps, so the weight routines in `weights` only read
+them; `build_root_system` caches it.
 Every Weyl orbit is walked by `_orbit_labels`, a breadth-first closure on
 Dynkin labels; `weyl_orbit` carries the class coordinates along.
 """
@@ -60,8 +65,7 @@ class RootSystemData(_Frozen):
     # caches key on root systems.
     _fields = ("lattice",)
     __slots__ = _fields + (
-        "simple_roots", "cartan", "positive_roots", "type_label",
-        "closure", "cartan_rows", "simple_covectors", "_hash",
+        "simple_roots", "positive_roots", "closure", "cartan_rows", "simple_covectors", "_hash",
     )
 
     def __init__(self, lattice: IntersectionLattice):
@@ -90,9 +94,8 @@ class RootSystemData(_Frozen):
                         coords[k] += c * v
             roots.append((DivisorClass(tuple(coords)), (coeffs, labels)))
         roots.sort()
-        closure = tuple(p for _, p in roots)
-        self._set(simple_roots=alphas, cartan=cartan, positive_roots=tuple(r for r, _ in roots))
-        self._set(type_label=_type_label(cartan, closure), closure=closure, simple_covectors=covectors)
+        self._set(simple_roots=alphas, positive_roots=tuple(r for r, _ in roots))
+        self._set(closure=tuple(p for _, p in roots), simple_covectors=covectors)
         self._set(cartan_rows=tuple(sparse_entries(row) for row in cartan), _hash=hash(self._values()))
 
     def __hash__(self) -> int:
@@ -118,47 +121,6 @@ def simple_roots(lattice: IntersectionLattice) -> tuple[DivisorClass, ...]:
     else:
         alphas = [ls[i] - ls[i - 1] for i in range(1, n + 1)]
     return tuple(alphas)
-
-
-def _components(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
-    """Connected components of the Dynkin diagram, each as sorted node indices."""
-    rank = len(cartan)
-    seen: set[int] = set()
-    comps = []
-    for i in range(rank):
-        if i in seen:
-            continue
-        comp = [i]
-        seen.add(i)
-        stack = [i]
-        while stack:
-            v = stack.pop()
-            for w in range(rank):
-                if w not in seen and w != v and cartan[v][w] != 0:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
-
-
-def _type_label(
-    cartan: tuple[tuple[int, ...], ...], closure: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-) -> str:
-    """Dynkin type by the root counts of the module docstring; each positive
-    root is counted in the component of its support."""
-    comps = _components(cartan)
-    where = {i: j for j, comp in enumerate(comps) for i in comp}
-    counts = [0] * len(comps)
-    for coeffs, _ in closure:
-        counts[where[coeffs.index(max(coeffs))]] += 1  # a node of the support
-    labels = []
-    for comp, count in zip(comps, counts):
-        k = len(comp)
-        kind = "A" if count == k * (k + 1) // 2 else "D" if count == k * (k - 1) else "E"
-        labels.append(f"{kind}{k}")
-    labels.sort(key=lambda s: (-int(s[1:]), s[0]))
-    return "x".join(labels)
 
 
 def _positive_root_coeffs(
@@ -199,7 +161,16 @@ def build_root_system(lattice: IntersectionLattice) -> RootSystemData:
 
 
 def classify_type(system: RootSystemData) -> str:
-    return system.type_label
+    """Dynkin type by the highest-root rule of the module docstring."""
+    labels = []
+    for coeffs, pairing in system.closure:
+        if -1 not in pairing:
+            k = len(coeffs) - coeffs.count(0)
+            height = sum(coeffs)
+            kind = "A" if height == k else "D" if height == 2 * k - 3 else "E"
+            labels.append(f"{kind}{k}")
+    labels.sort(key=lambda s: (-int(s[1:]), s[0]))
+    return "x".join(labels)
 
 
 def positive_roots(system: RootSystemData) -> tuple[DivisorClass, ...]:

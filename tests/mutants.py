@@ -150,6 +150,26 @@ MUTANTS = (
             "tests/test_lattice.py::test_gram_is_symmetric_and_unimodular[D4]",
         ),
     ),
+    # The highest root of D_k has height 2k - 3; one less names D4 as E4.
+    Mutant(
+        "type-d-height",
+        "roots.py",
+        "height == 2 * k - 3",
+        "height == 2 * k - 4",
+        (
+            "tests/test_roots.py::test_classification[D-4-D4]",
+            "tests/test_weights.py::test_positive_root_coeffs_carry_cartan_labels[D-4]",
+        ),
+    ),
+    # A highest root is one with no label -1; the highest root of E8 has
+    # labels 0 and is missed when no label 0 is asked for instead.
+    Mutant(
+        "type-maximality-label",
+        "roots.py",
+        "if -1 not in pairing:",
+        "if 0 not in pairing:",
+        ("tests/test_roots.py::test_classification[E-8-E8]",),
+    ),
     # C1 compares the enumerated D roots with 2n(n - 1).
     Mutant(
         "d-root-count",

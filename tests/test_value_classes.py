@@ -62,9 +62,7 @@ class ClassSet:
 class RootSystemData:
     lattice: object
     simple_roots: tuple = field(init=False, compare=False, repr=False)
-    cartan: tuple = field(init=False, compare=False, repr=False)
     positive_roots: tuple = field(init=False, compare=False, repr=False)
-    type_label: str = field(init=False, compare=False, repr=False)
     closure: tuple = field(init=False, compare=False, repr=False)
     cartan_rows: tuple = field(init=False, compare=False, repr=False)
     simple_covectors: tuple = field(init=False, compare=False, repr=False)
@@ -268,15 +266,7 @@ def test_copies_and_pickles_are_equal(cls):
 
 DERIVED = {
     A.IntersectionLattice: ("basis_labels", "gram_rows", "K", "C", "c_covector"),
-    A.RootSystemData: (
-        "simple_roots",
-        "cartan",
-        "positive_roots",
-        "type_label",
-        "closure",
-        "cartan_rows",
-        "simple_covectors",
-    ),
+    A.RootSystemData: ("simple_roots", "positive_roots", "closure", "cartan_rows", "simple_covectors"),
     A.CoxPresentation: ("generators", "_groups"),
 }
 
