@@ -33,9 +33,7 @@ from .curves import (
     pairs_of_lines_summing_to,
 )
 from .flag import (
-    Quadric,
     QuadricSystem,
-    QuadricVariable,
     appendix_tensor_check,
     cone_quadric_D,
     embed_cox_into_cone_D,
@@ -53,7 +51,6 @@ from .roots import (
     RootSystemData,
     build_root_system,
     classify_type,
-    positive_roots,
     reflect,
     simple_roots,
     weyl_orbit,
@@ -81,9 +78,7 @@ __all__ = [
     "DivisorClass",
     "Generator",
     "IntersectionLattice",
-    "Quadric",
     "QuadricSystem",
-    "QuadricVariable",
     "Relation",
     "RelationCensus",
     "RootSystemData",
@@ -114,7 +109,6 @@ __all__ = [
     "line_weight_multiset",
     "pair",
     "pairs_of_lines_summing_to",
-    "positive_roots",
     "reflect",
     "relation_census",
     "ruling_highest_class",

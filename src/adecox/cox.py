@@ -81,6 +81,22 @@ class Relation(_Frozen):
     __slots__ = _fields = ("terms", "cls")
 
 
+def _check_relations(generators: tuple[Generator, ...], relations: tuple[Relation, ...]) -> None:
+    """Refuse a relation with no terms, a zero coefficient, or a term whose
+    generators (indices into ``generators``) do not sum to its class."""
+    for rel in relations:
+        if not rel.terms:
+            raise ValueError("relation with no terms")
+        for coeff, mono in rel.terms:
+            if coeff == 0:
+                raise ValueError("relation carries a zero coefficient")
+            total = rel.cls * 0
+            for idx in mono:
+                total = total + generators[idx].cls
+            if total != rel.cls:
+                raise ValueError("relation is not homogeneous")
+
+
 class CoxPresentation(_Frozen):
     # The lattice and the relations are the key.  ``generators`` comes from
     # `cox_generators`, whose order numbers the generators in every
@@ -91,17 +107,7 @@ class CoxPresentation(_Frozen):
     def __init__(self, lattice: IntersectionLattice, relations: tuple[Relation, ...]):
         super().__init__(lattice, relations)
         self._set(generators=tuple(Generator(name, cls) for name, cls in cox_generators(lattice)))
-        for rel in self.relations:
-            if not rel.terms:
-                raise ValueError("relation with no terms")
-            for coeff, mono in rel.terms:
-                if coeff == 0:
-                    raise ValueError("relation carries a zero coefficient")
-                total = self.lattice.zero()
-                for idx in mono:
-                    total = total + self.generators[idx].cls
-                if total != rel.cls:
-                    raise ValueError("relation is not homogeneous")
+        _check_relations(self.generators, self.relations)
         # Relations grouped by class as (class, degree, relations), each term
         # as (integer coefficient, sorted generator indices); scaling a
         # relation by a nonzero integer leaves every rank unchanged.

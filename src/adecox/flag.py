@@ -1,10 +1,16 @@
 """Quadric models of minimal-orbit cones and the surface-to-cone embedding.
 
+A quadric here is a `cox.Relation` over an ordered tuple of `cox.Generator`
+records: each term is (coefficient, sorted tuple of variable indices), and
+`QuadricSystem` refuses a quadric as `CoxPresentation` refuses a relation,
+by `cox._check_relations`.  So the cone quadric, its image and the surface
+relations are polynomials of one format, each homogeneous of one class.
+
 For the D family the cone over the relevant flag variety is a single
 quadric: pairing each line ``l_i`` with its partner ``f - l_i`` gives
-coordinates ``X_i, Y_i`` and the equation ``sum_i X_i Y_i = 0``.  The
-section ring of a D-surface maps onto the coordinate ring of that cone
-after rescaling ``X_i`` by constants ``c_i`` chosen so that
+coordinates ``X_i, Y_i`` and the equation ``sum_i X_i Y_i = 0`` of class
+``f``.  The section ring of a D-surface maps onto the coordinate ring of
+that cone after rescaling ``X_i`` by constants ``c_i`` chosen so that
 ``sum_i c_i x_i y_i`` lies in the surface's quadric ideal; membership is
 certified by an exact rank computation in the class-``f`` graded piece.
 
@@ -13,14 +19,15 @@ cases (E, 3) and (D, 2) decompose as outer tensor products, checked here
 on the line classes together with the 2x2 Segre quadric.
 
 ``quadrics`` prints, and C6 and C8 check, the one entry per surface that
-``selftest.quadrics_entries`` builds from these functions.
+``selftest.quadrics_entries`` builds from these functions; it writes each
+variable's weight as `weight_of` of its class.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cox import CoxPresentation, SurfaceConfigD, dn_ideal
+from .cox import CoxPresentation, Generator, Relation, SurfaceConfigD, _check_relations, dn_ideal
 from .curves import enumerate_lines
 from .lattice import IntersectionLattice, _Frozen, basis_class
 from .linalg import rational_rank
@@ -28,45 +35,18 @@ from .roots import build_root_system
 from .weights import weight_of
 
 
-class QuadricVariable(_Frozen):
-    __slots__ = _fields = ("name", "cls", "weight")
-
-
-class Quadric(_Frozen):
-    """Terms are (coefficient, monomial as a sorted tuple of variable names)."""
-
-    __slots__ = _fields = ("terms",)
-
-
 class QuadricSystem(_Frozen):
     __slots__ = _fields = ("variables", "quadrics", "substitution")
 
     def __init__(
         self,
-        variables: tuple[QuadricVariable, ...],
-        quadrics: tuple[Quadric, ...],
+        variables: tuple[Generator, ...],
+        quadrics: tuple[Relation, ...],
         # Entries (source, scalar, target) encoding source -> scalar * target.
         substitution: tuple[tuple[str, Fraction, str], ...] | None = None,
     ):
         super().__init__(variables, quadrics, substitution)
-        weights = {v.name: v.weight for v in self.variables}
-        for q in self.quadrics:
-            if not q.terms:
-                raise ValueError("quadric with no terms")
-            seen = None
-            for coeff, mono in q.terms:
-                if coeff == 0:
-                    raise ValueError("quadric carries a zero coefficient")
-                total = None
-                for name in mono:
-                    w = weights[name]
-                    total = w if total is None else tuple(
-                        a + b for a, b in zip(total, w)
-                    )
-                if seen is None:
-                    seen = total
-                elif total != seen:
-                    raise ValueError("quadric is not weight homogeneous")
+        _check_relations(self.variables, self.quadrics)
         if self.substitution is not None:
             for _, scalar, _ in self.substitution:
                 if scalar == 0:
@@ -76,28 +56,22 @@ class QuadricSystem(_Frozen):
 def cone_quadric_D(lattice: IntersectionLattice) -> QuadricSystem:
     """The single quadric ``sum_i X_i Y_i`` cutting out the D-family cone.
 
-    ``X_i`` carries the class ``l_i`` and ``Y_i`` the partner ``f - l_i``;
-    every monomial has class ``f``, hence weight zero.
+    ``X_i`` (variable ``2i - 2``) carries the class ``l_i`` and ``Y_i``
+    (variable ``2i - 1``) the partner ``f - l_i``; every monomial has class
+    ``f``, hence the weight of ``f``, which is zero.
     """
     fam = lattice.family
     if fam.kind != "D" or fam.n < 3:
         raise ValueError("cone quadric is defined for the D family with n >= 3")
-    system = build_root_system(lattice)
     f = basis_class(lattice, "f")
+    weight = weight_of(build_root_system(lattice), f)
+    if any(weight):
+        raise AssertionError(f"the cone quadric's class f has nonzero weight {weight}")
     variables = []
-    terms = []
     for i in range(1, fam.n + 1):
         li = basis_class(lattice, f"l{i}")
-        variables.append(QuadricVariable(f"X{i}", li, weight_of(system, li)))
-        variables.append(QuadricVariable(f"Y{i}", f - li, weight_of(system, f - li)))
-        terms.append((Fraction(1), (f"X{i}", f"Y{i}")))
-    quadric = Quadric(tuple(terms))
-    zero = (0,) * system.rank
-    lookup = {v.name: v.weight for v in variables}
-    for _, mono in quadric.terms:
-        total = tuple(a + b for a, b in zip(lookup[mono[0]], lookup[mono[1]]))
-        if total != zero:
-            raise AssertionError(f"cone quadric term {mono} has nonzero weight {total}")
+        variables += [Generator(f"X{i}", li), Generator(f"Y{i}", f - li)]
+    quadric = Relation(tuple((1, (2 * i - 2, 2 * i - 1)) for i in range(1, fam.n + 1)), f)
     return QuadricSystem(tuple(variables), (quadric,))
 
 
@@ -151,17 +125,18 @@ def embed_cox_into_cone_D(
     certified = rank_before == rank_after == n - 2
 
     cone = cone_quadric_D(lattice)
-    # x_i and y_i carry the classes and weights of the cone's X_i and Y_i.
-    cox_vars = tuple(QuadricVariable(v.name.lower(), v.cls, v.weight) for v in cone.variables)
+    # x_i and y_i, the variables 2n + 2i - 2 and 2n + 2i - 1, carry the
+    # classes of the cone's X_i and Y_i.
+    cox_vars = tuple(Generator(v.name.lower(), v.cls) for v in cone.variables)
     image_terms = []
     substitution = []
     for i in range(1, n + 1):
-        image_terms.append((c[i - 1], (f"x{i}", f"y{i}")))
+        image_terms.append((c[i - 1], (2 * n + 2 * i - 2, 2 * n + 2 * i - 1)))
         substitution.append((f"X{i}", c[i - 1], f"x{i}"))
         substitution.append((f"Y{i}", Fraction(1), f"y{i}"))
     quad_system = QuadricSystem(
         cone.variables + cox_vars,
-        cone.quadrics + (Quadric(tuple(image_terms)),),
+        cone.quadrics + (Relation(tuple(image_terms), cone.quadrics[0].cls),),
         tuple(substitution),
     )
     report = {
@@ -210,15 +185,14 @@ def appendix_tensor_check(
     }
     if fam.kind == "E":
         return report, None
-    system = build_root_system(lattice)
     variables = tuple(
-        QuadricVariable(f"z{i}{j}", a + b, weight_of(system, a + b))
+        Generator(f"z{i}{j}", a + b)
         for i, a in enumerate(left, start=1)
         for j, b in enumerate(right, start=1)
     )
-    segre = Quadric(((Fraction(1), ("z11", "z22")), (Fraction(-1), ("z12", "z21"))))
-    lookup = {v.name: v.cls for v in variables}
-    segre_classes = sorted({lookup[m[0]] + lookup[m[1]] for _, m in segre.terms})
+    # z11 z22 - z12 z21 over the variables in the order z11, z12, z21, z22.
+    segre = Relation(((1, (0, 3)), (-1, (1, 2))), f)
+    segre_classes = sorted({variables[i].cls + variables[j].cls for _, (i, j) in segre.terms})
     report["segre_monomial_classes"] = [list(cls.coords) for cls in segre_classes]
     report["segre_class_is_f"] = segre_classes == [f]
     report["ok"] = holds and segre_classes == [f]

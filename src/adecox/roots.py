@@ -173,10 +173,6 @@ def classify_type(system: RootSystemData) -> str:
     return "x".join(labels)
 
 
-def positive_roots(system: RootSystemData) -> tuple[DivisorClass, ...]:
-    return system.positive_roots
-
-
 def reflect(lattice: IntersectionLattice, x: DivisorClass, alpha: DivisorClass) -> DivisorClass:
     """Reflection in a root: ``x -> x + (x . alpha) alpha`` for norm -2 roots."""
     if pair(lattice, alpha, alpha) != -2:

@@ -28,6 +28,7 @@ from fractions import Fraction
 from itertools import product as iterproduct
 
 from .cox import (
+    Relation,
     SurfaceConfigD,
     anticanonical_shift,
     cox_generators,
@@ -261,25 +262,24 @@ SURFACE_CHECKS = {
 }
 
 
-def _system_doc(system: QuadricSystem) -> dict:
+def _terms_doc(rel: Relation, names: list[str]) -> list[dict]:
+    """The terms of a relation or quadric, each monomial by variable name."""
+    return [{"coeff": str(coeff), "monomial": [names[i] for i in mono]} for coeff, mono in rel.terms]
+
+
+def _system_doc(system: QuadricSystem, lattice: IntersectionLattice) -> dict:
+    root_system = build_root_system(lattice)
+    names = [v.name for v in system.variables]
     doc = {
         "variables": [
             {
                 "name": v.name,
                 "class": list(v.cls.coords),
-                "weight": list(v.weight),
+                "weight": list(weight_of(root_system, v.cls)),
             }
             for v in system.variables
         ],
-        "quadrics": [
-            {
-                "terms": [
-                    {"coeff": str(coeff), "monomial": list(mono)}
-                    for coeff, mono in quad.terms
-                ]
-            }
-            for quad in system.quadrics
-        ],
+        "quadrics": [{"terms": _terms_doc(quad, names)} for quad in system.quadrics],
     }
     if system.substitution is not None:
         doc["substitution"] = [
@@ -303,7 +303,7 @@ def quadrics_entries(lattice: IntersectionLattice, config: SurfaceConfigD | None
         report, segre = appendix_tensor_check(lattice)
         entry = dict(report, check="tensor-factorization")
         if segre is not None:
-            entry["segre"] = _system_doc(segre)
+            entry["segre"] = _system_doc(segre, lattice)
         entry["pass"] = report["ok"] and (
             fam.kind == "E" or (segre is not None and len(segre.quadrics) == 1)
         )
@@ -321,17 +321,9 @@ def quadrics_entries(lattice: IntersectionLattice, config: SurfaceConfigD | None
     generators = [
         {"name": g.name, "class": list(g.cls.coords)} for g in presentation.generators
     ]
+    names = [g.name for g in presentation.generators]
     relations = [
-        {
-            "class": list(rel.cls.coords),
-            "terms": [
-                {
-                    "coeff": str(coeff),
-                    "monomial": [presentation.generators[i].name for i in mono],
-                }
-                for coeff, mono in rel.terms
-            ],
-        }
+        {"class": list(rel.cls.coords), "terms": _terms_doc(rel, names)}
         for rel in presentation.relations
     ]
     return [
@@ -340,8 +332,8 @@ def quadrics_entries(lattice: IntersectionLattice, config: SurfaceConfigD | None
             "points": [str(t) for t in config.points],
             "generators": generators,
             "relations": relations,
-            "cone": _system_doc(cone),
-            "embedding": _system_doc(embedded),
+            "cone": _system_doc(cone, lattice),
+            "embedding": _system_doc(embedded, lattice),
             "certificate": report,
             "pass": report["certified"]
             and all(Fraction(x) != 0 for x in report["c"])
@@ -502,9 +494,9 @@ def _check_embedding() -> list[str]:
 
 def _check_torus_git() -> list[str]:
     # Relations are torus homogeneous by construction: `CoxPresentation`
-    # refuses a term outside its relation's class, and a torus character
-    # depends on the class alone.  The cone quadrics that C6 builds refuse
-    # terms that are not weight homogeneous.
+    # and `QuadricSystem` refuse a term outside its relation's class, and a
+    # torus character depends on the class alone.  So the cone quadrics
+    # that C6 builds are class and weight homogeneous too.
     d3, d4, a3, e6 = _lat("D", 3), _lat("D", 4), _lat("A", 3), _lat("E", 6)
     config3 = SurfaceConfigD(tuple(range(3)))
     problems = [

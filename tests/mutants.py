@@ -35,26 +35,48 @@ Mutant = namedtuple("Mutant", "name path old new tests")
 _VALIDATE = "tests/test_value_classes.py::test_constructors_validate_with_the_same_messages[<lambda>-{}]"
 
 MUTANTS = (
+    # The three refusals of `_check_relations`, which `CoxPresentation` and
+    # `QuadricSystem` both call.
     Mutant(
         "presentation-keeps-an-empty-relation",
         "cox.py",
-        '            if not rel.terms:\n                raise ValueError("relation with no terms")\n',
+        '        if not rel.terms:\n            raise ValueError("relation with no terms")\n',
         "",
         (_VALIDATE.format("relation with no terms"),),
     ),
     Mutant(
         "presentation-keeps-a-zero-coefficient",
         "cox.py",
-        '                if coeff == 0:\n                    raise ValueError("relation carries a zero coefficient")\n',
+        '            if coeff == 0:\n                raise ValueError("relation carries a zero coefficient")\n',
         "",
         (_VALIDATE.format("relation carries a zero coefficient"),),
     ),
     Mutant(
         "presentation-keeps-an-inhomogeneous-relation",
         "cox.py",
-        '                if total != rel.cls:\n                    raise ValueError("relation is not homogeneous")\n',
+        '            if total != rel.cls:\n                raise ValueError("relation is not homogeneous")\n',
         "",
         (_VALIDATE.format("relation is not homogeneous"),),
+    ),
+    # A quadric system that skips the shared check keeps an empty or a
+    # class-inhomogeneous quadric.
+    Mutant(
+        "quadric-system-skips-the-relation-check",
+        "flag.py",
+        "        _check_relations(self.variables, self.quadrics)\n",
+        "",
+        (
+            "tests/test_value_classes.py::test_constructors_validate_with_the_same_messages"
+            "[_empty_quadric_system-relation with no terms]",
+            "tests/test_flag.py::test_quadric_system_rejects_inhomogeneous_weights",
+        ),
+    ),
+    Mutant(
+        "quadric-system-keeps-a-zero-scalar",
+        "flag.py",
+        'raise ValueError("substitution scalar must be nonzero")',
+        "pass",
+        (_VALIDATE.format("substitution scalar must be nonzero"),),
     ),
     # C4 fails on the presentation's zero-coefficient refusal.
     Mutant(

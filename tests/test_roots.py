@@ -16,7 +16,6 @@ from adecox import (
     enumerate_roots,
     enumerate_rulings,
     pair,
-    positive_roots,
     reflect,
     simple_roots,
     weyl_orbit,
@@ -116,7 +115,7 @@ POSITIVE_COUNTS = [
 def test_positive_root_counts(kind, n, count):
     lat = build_lattice(SurfaceFamily(kind, n))
     system = build_root_system(lat)
-    pos = positive_roots(system)
+    pos = system.positive_roots
     assert len(pos) == count
     # Positive and negative roots together exhaust the (-2, 0) classes.
     all_roots = enumerate_roots(lat).as_set()

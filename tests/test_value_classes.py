@@ -105,18 +105,6 @@ class RelationCensus:
 
 
 @dataclass(frozen=True)
-class QuadricVariable:
-    name: str
-    cls: object
-    weight: tuple
-
-
-@dataclass(frozen=True)
-class Quadric:
-    terms: tuple
-
-
-@dataclass(frozen=True)
 class QuadricSystem:
     variables: tuple
     quadrics: tuple
@@ -150,8 +138,6 @@ TWINS = {
     A.Relation: Relation,
     A.CoxPresentation: CoxPresentation,
     A.RelationCensus: RelationCensus,
-    A.QuadricVariable: QuadricVariable,
-    A.Quadric: Quadric,
     A.QuadricSystem: QuadricSystem,
     selftest.CheckResult: CheckResult,
     selftest.Check: Check,
@@ -318,7 +304,14 @@ def _d3_relation(*terms):
     return A.CoxPresentation(lat, (A.Relation(terms, A.basis_class(lat, "f")),))
 
 
-# The selftest does not repeat the presentation's three refusals (C4 and C7
+def _empty_quadric_system():
+    """A quadric system whose one quadric has no terms; `QuadricSystem`
+    refuses it by the presentation's own check."""
+    lat = A.build_lattice(A.SurfaceFamily("D", 3))
+    return A.QuadricSystem((), (A.Relation((), A.basis_class(lat, "f")),))
+
+
+# The selftest does not repeat the three relation refusals (C4, C6 and C7
 # fail by the exception), so these cases are what guards them.
 @pytest.mark.parametrize(
     "build,message",
@@ -326,7 +319,8 @@ def _d3_relation(*terms):
         (lambda: A.SurfaceFamily("B", 3), "unknown family kind 'B', expected A, D or E"),
         (lambda: A.SurfaceFamily("E", 9), "E family needs 3 <= n <= 8"),
         (lambda: A.SurfaceConfigD((0, Fraction(0))), "fiber positions must be pairwise distinct"),
-        (lambda: A.QuadricSystem((), (A.Quadric(()),)), "quadric with no terms"),
+        (_empty_quadric_system, "relation with no terms"),
+        (lambda: A.QuadricSystem((), (), (("X1", 0, "x1"),)), "substitution scalar must be nonzero"),
         (lambda: _d3_relation(), "relation with no terms"),
         (lambda: _d3_relation((1, (0, 3)), (0, (1, 4))), "relation carries a zero coefficient"),
         (lambda: _d3_relation((1, (0, 3)), (1, (0,))), "relation is not homogeneous"),
@@ -347,8 +341,6 @@ def test_the_classes_that_only_store_their_fields_use_the_base_constructor():
         "CheckResult",
         "ClassSet",
         "Generator",
-        "Quadric",
-        "QuadricVariable",
         "Relation",
         "RelationCensus",
         "WeightMultiset",
