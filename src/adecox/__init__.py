@@ -57,6 +57,7 @@ from .roots import (
 )
 from .selftest import CHECKS, run_selftest
 from .weights import (
+    DominantCharacter,
     WeightMultiset,
     decompose_sym2,
     freudenthal,
@@ -76,6 +77,7 @@ __all__ = [
     "ClassSet",
     "CoxPresentation",
     "DivisorClass",
+    "DominantCharacter",
     "Generator",
     "IntersectionLattice",
     "QuadricSystem",

@@ -82,8 +82,9 @@ class Relation(_Frozen):
 
 
 def _check_relations(generators: tuple[Generator, ...], relations: tuple[Relation, ...]) -> None:
-    """Refuse a relation with no terms, a zero coefficient, or a term whose
-    generators (indices into ``generators``) do not sum to its class."""
+    """Refuse a relation with no terms, a zero coefficient, a generator index
+    outside ``range(len(generators))``, or a term whose generators do not sum
+    to its class."""
     for rel in relations:
         if not rel.terms:
             raise ValueError("relation with no terms")
@@ -92,6 +93,8 @@ def _check_relations(generators: tuple[Generator, ...], relations: tuple[Relatio
                 raise ValueError("relation carries a zero coefficient")
             total = rel.cls * 0
             for idx in mono:
+                if not 0 <= idx < len(generators):
+                    raise ValueError("relation names a generator outside the generator list")
                 total = total + generators[idx].cls
             if total != rel.cls:
                 raise ValueError("relation is not homogeneous")

@@ -5,6 +5,7 @@ records: each term is (coefficient, sorted tuple of variable indices), and
 `QuadricSystem` refuses a quadric as `CoxPresentation` refuses a relation,
 by `cox._check_relations`.  So the cone quadric, its image and the surface
 relations are polynomials of one format, each homogeneous of one class.
+A substitution names each of its variables once, by name.
 
 For the D family the cone over the relevant flag variety is a single
 quadric: pairing each line ``l_i`` with its partner ``f - l_i`` gives
@@ -42,15 +43,24 @@ class QuadricSystem(_Frozen):
         self,
         variables: tuple[Generator, ...],
         quadrics: tuple[Relation, ...],
-        # Entries (source, scalar, target) encoding source -> scalar * target.
+        # Entries (source, scalar, target) encoding source -> scalar * target;
+        # both are variable names, and no variable is named twice.
         substitution: tuple[tuple[str, Fraction, str], ...] | None = None,
     ):
         super().__init__(variables, quadrics, substitution)
         _check_relations(self.variables, self.quadrics)
         if self.substitution is not None:
-            for _, scalar, _ in self.substitution:
+            known = {v.name for v in self.variables}
+            seen = set()
+            for source, scalar, target in self.substitution:
                 if scalar == 0:
                     raise ValueError("substitution scalar must be nonzero")
+                for name in (source, target):
+                    if name not in known:
+                        raise ValueError("substitution names an unknown variable")
+                    if name in seen:
+                        raise ValueError("substitution names a variable twice")
+                    seen.add(name)
 
 
 def cone_quadric_D(lattice: IntersectionLattice) -> QuadricSystem:

@@ -223,9 +223,6 @@ class IntersectionLattice(_Frozen):
     def rank(self) -> int:
         return len(self.basis_labels)
 
-    def zero(self) -> DivisorClass:
-        return DivisorClass((0,) * self.rank)
-
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def build_lattice(family: SurfaceFamily) -> IntersectionLattice:

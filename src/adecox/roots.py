@@ -32,7 +32,10 @@ root's coefficients and labels beside the sparse Cartan rows, the one
 Cartan matrix it keeps, so the weight routines in `weights` only read
 them; `build_root_system` caches it.
 Every Weyl orbit is walked by `_orbit_labels`, a breadth-first closure on
-Dynkin labels; `weyl_orbit` carries the class coordinates along.
+Dynkin labels; `weyl_orbit` carries the class coordinates along.  Each orbit
+meets the dominant chamber in exactly one weight (Humphreys, Introduction to
+Lie Algebras and Representation Theory, 13.2), and `_dominant_labels` walks
+a weight up to it.
 """
 
 from __future__ import annotations
@@ -214,6 +217,31 @@ def _orbit_labels(rows, start: tuple[int, ...]) -> set[tuple[int, ...]]:
                     fresh.append(y)
         frontier = fresh
     return seen
+
+
+def _dominant_labels(rows, w: tuple[int, ...], reps: dict) -> tuple[int, ...]:
+    """The dominant weight in the Weyl orbit of ``w``, walked up one simple
+    reflection at a time: ``s_i`` with label ``t = w_i < 0`` adds ``-t
+    alpha_i``.  It negates label ``i`` and lowers only the labels of the
+    neighbours of ``i``, so a worklist holds every negative label, and after
+    each reflection only the neighbours whose label turned negative join it.
+    ``reps`` maps weights walked before to their dominant weight; the walk
+    stops at the first of them, and every weight it passes joins them."""
+    path = [w]
+    y = list(w)
+    todo = [i for i, t in enumerate(y) if t < 0]
+    while todo and path[-1] not in reps:
+        i = todo.pop()
+        t = y[i]
+        if t < 0:
+            for j, v in rows[i]:
+                y[j] -= t * v
+                if y[j] < 0 <= y[j] + t * v:
+                    todo.append(j)
+            path.append(tuple(y))
+    top = reps.get(path[-1], path[-1])
+    reps.update(dict.fromkeys(path, top))
+    return top
 
 
 def weyl_orbit(system: RootSystemData, seed: DivisorClass) -> ClassSet:

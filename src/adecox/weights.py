@@ -16,21 +16,32 @@ a simply laced system, with roots of norm 2, a positive root
 ``<lam + rho, lam + rho> - <mu + rho, mu + rho> = sum d_i (lam_i + mu_i + 2)``;
 neither needs the inverse Cartan matrix.
 
+Every multiset compared here is Weyl invariant (the enumerated line and
+ruling multisets are checked to be), and each weight is conjugate to
+exactly one dominant weight (Humphreys, Introduction to Lie Algebras and
+Representation Theory, 13.2), so such a multiset is known from its
+dominant part, a `DominantCharacter`.  The recursion computes multiplicities at
+dominant weights only, reading each term at the dominant weight that
+`roots._dominant_labels` walks up to; `freudenthal` writes them out over
+the orbits.  A total is ``sum m(mu) |W| / |W_mu|`` over the dominant
+weights, with the orbit sizes read off the positive-root heights.
+
 The central identity checked by this module: the multiset of weights of the
 line bundle sum over all lines (plus eight copies of the zero weight in the
 (E, 8) case) has a symmetric square that splits as
 
-    sym2(lines) = freudenthal(2 * lambda_line) + W
+    sym2(lines) = freudenthal(2 * lambda_line) + W,
 
-where ``W`` is family dependent: empty for ``A``, a single zero weight for
-``D``, the ruling weights for ``E`` with ``n <= 6``, the ruling weights plus
-seven zero weights for (E, 7), and the 3875-dimensional module plus one zero
-weight for (E, 8).
+compared at dominant weights, where ``W`` is family dependent: empty for
+``A``, a single zero weight for ``D``, the ruling weights for ``E`` with
+``n <= 6``, the ruling weights plus seven zero weights for (E, 7), and the
+3875-dimensional module plus one zero weight for (E, 8).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add, sub
 
 from .curves import enumerate_lines, enumerate_rulings
 from .lattice import (
@@ -41,7 +52,7 @@ from .lattice import (
     basis_class,
     sparse_entries,
 )
-from .roots import RootSystemData, _orbit_labels, _reflect_labels, weight_of
+from .roots import RootSystemData, _dominant_labels, _orbit_labels, _reflect_labels, weight_of
 
 WeightVector = tuple[int, ...]
 
@@ -76,6 +87,17 @@ class WeightMultiset(_Frozen):
 
     def subtract(self, other: "WeightMultiset") -> "WeightMultiset":
         return self._merge(other, -1)
+
+
+class DominantCharacter(_Frozen):
+    """A Weyl-invariant multiset of weights, kept at its dominant weights.
+
+    ``entries`` pairs each dominant weight with its multiplicity, sorted;
+    ``total`` is the size of the whole multiset, each multiplicity times the
+    size of its weight's orbit.
+    """
+
+    __slots__ = _fields = ("entries", "total")
 
 
 def line_highest_class(lattice: IntersectionLattice) -> DivisorClass:
@@ -117,9 +139,51 @@ def weyl_dim(system: RootSystemData, lam: WeightVector) -> int:
     return dim
 
 
-@lru_cache(maxsize=CACHE_MAXSIZE)
-def freudenthal(system: RootSystemData, lam: WeightVector) -> WeightMultiset:
-    """Full weight multiset of the irreducible module with highest weight lam.
+def _orbit_size(system: RootSystemData, mu: WeightVector) -> int:
+    """``|W| / |W_mu|`` for a dominant ``mu``.
+
+    The stabilizer of ``mu`` is the parabolic subgroup ``W_J``,
+    ``J = {i : mu_i = 0}``, and ``|W_J|`` is the product of
+    ``(ht alpha + 1) / ht alpha`` over the positive roots supported on ``J``
+    (Kostant 1959).  Those are the roots that pair to 0 with ``mu``, so the
+    quotient is the same product over the roots that pair positively.
+    """
+    support = [i for i, m in enumerate(mu) if m]
+    num = den = 1
+    for coeffs, _ in system.closure:
+        if any(coeffs[i] for i in support):
+            height = sum(coeffs)
+            num *= height + 1
+            den *= height
+    size, rem = divmod(num, den)
+    if rem:
+        raise AssertionError("orbit size formula did not produce an integer")
+    return size
+
+
+def _character(system: RootSystemData, dominant: dict[WeightVector, int]) -> DominantCharacter:
+    entries = WeightMultiset.from_dict(dominant).entries
+    return DominantCharacter(entries, sum(m * _orbit_size(system, w) for w, m in entries))
+
+
+def _dominant_part(system: RootSystemData, ms: WeightMultiset) -> DominantCharacter:
+    """The dominant part of a Weyl-invariant multiset."""
+    return _character(system, {w: m for w, m in ms.entries if min(w) >= 0})
+
+
+def _expand(system: RootSystemData, entries) -> WeightMultiset:
+    """The whole multiset of a dominant part: each multiplicity is written
+    to the Weyl orbit of its weight."""
+    mult: dict[WeightVector, int] = {}
+    for mu, m in entries:
+        mult.update(dict.fromkeys(_orbit_labels(system.cartan_rows, mu), m))
+    # The weights are distinct, so sorting them alone orders the pairs.
+    return WeightMultiset(tuple([(w, mult[w]) for w in sorted(mult)]))
+
+
+def _dominant_freudenthal(system: RootSystemData, lam: WeightVector) -> dict[WeightVector, int]:
+    """Multiplicity of each dominant weight of the irreducible module with
+    highest weight lam.
 
     Freudenthal's formula holds for every semisimple Lie algebra, so a
     decomposable Cartan matrix such as E3 = A2 x A1 needs no split into
@@ -127,18 +191,20 @@ def freudenthal(system: RootSystemData, lam: WeightVector) -> WeightMultiset:
 
     Steps: enumerate the dominant weights (closure of lam under subtracting
     positive roots while staying dominant, which reaches every dominant
-    weight below lam), then visit them in order of increasing depth, writing
-    each multiplicity to the whole Weyl orbit of its weight as soon as it is
-    known.  Depth vectors (coordinates of lam - mu over the simple roots)
-    make the cone membership test exact, and give the norm difference
+    weight below lam), then visit them in order of increasing depth.  Depth
+    vectors (coordinates of lam - mu over the simple roots) make the cone
+    membership test exact, and give the norm difference
     ``<lam + rho, lam + rho> - <mu + rho, mu + rho>`` as
-    ``sum d_i (lam_i + mu_i + 2)``; ``<nu, alpha> = sum c_i nu_i``.
+    ``sum d_i (lam_i + mu_i + 2)``; ``<nu, alpha> = sum c_i nu_i``, and
+    ``<mu + k alpha, alpha> = <mu, alpha> + 2 k``.
 
-    The recursion for mu reads mult(mu + k alpha) straight from that one
-    table: mu + k alpha lies strictly above mu, and its dominant
-    representative lies above it, so the representative has smaller depth
-    and its orbit was written earlier; a sum that is not a weight reads 0.
-    The highest weight has gap 0 and multiplicity 1.
+    Multiplicities are Weyl invariant, so the recursion for mu reads
+    mult(mu + k alpha) at the dominant weight of its orbit, which
+    `_dominant_labels` walks up to.  That weight lies above mu + k alpha,
+    hence strictly above mu, so it has smaller depth and was visited
+    earlier; a sum that is not a weight reaches no dominant weight below lam
+    and reads 0.  The alpha-string through a weight is unbroken, so the first
+    k that reads 0 ends the terms of alpha.
     """
     _check_dominant(system, lam)
     dom_depth: dict[WeightVector, tuple[int, ...]] = {lam: (0,) * system.rank}
@@ -148,31 +214,42 @@ def freudenthal(system: RootSystemData, lam: WeightVector) -> WeightMultiset:
         for mu in frontier:
             d = dom_depth[mu]
             for c, al in system.closure:
-                nu = tuple(m - a for m, a in zip(mu, al))
-                if all(x >= 0 for x in nu) and nu not in dom_depth:
-                    dom_depth[nu] = tuple(x + y for x, y in zip(d, c))
-                    fresh.append(nu)
+                if min(map(sub, mu, al)) >= 0:
+                    nu = tuple(map(sub, mu, al))
+                    if nu not in dom_depth:
+                        dom_depth[nu] = tuple(map(add, d, c))
+                        fresh.append(nu)
         frontier = fresh
 
     support = [(al, sparse_entries(c)) for c, al in system.closure]
-    mult: dict[WeightVector, int] = {}
-    for mu in sorted(dom_depth, key=lambda w: (sum(dom_depth[w]), w)):
+    rows, reps = system.cartan_rows, {}
+    # lam, of depth 0, comes first: it has multiplicity 1.
+    mult: dict[WeightVector, int] = {lam: 1}
+    for mu in sorted(dom_depth, key=lambda w: (sum(dom_depth[w]), w))[1:]:
         depth = dom_depth[mu]
         acc = 0
         for al, nz in support:
             kmax = min(depth[i] // ci for i, ci in nz)
+            nu = mu
             for k in range(1, kmax + 1):
-                nu = tuple(m + k * a for m, a in zip(mu, al))
-                m_nu = mult.get(nu, 0)
-                if m_nu:
-                    acc += 2 * m_nu * sum(ci * nu[i] for i, ci in nz)
+                nu = tuple(map(add, nu, al))
+                m_nu = mult.get(_dominant_labels(rows, nu, reps), 0)
+                if not m_nu:
+                    break
+                acc += 2 * m_nu * (sum(ci * mu[i] for i, ci in nz) + 2 * k)
         gap = sum(d * (l + m + 2) for d, l, m in zip(depth, lam, mu))
-        value, rem = divmod(acc, gap) if gap else (1, 0)
+        value, rem = divmod(acc, gap)
         if rem or value <= 0:
             raise AssertionError("recursion produced a non-positive multiplicity")
-        for w in _orbit_labels(system.cartan_rows, mu):
-            mult[w] = value
-    return WeightMultiset(tuple(sorted(mult.items())))
+        mult[mu] = value
+    return mult
+
+
+@lru_cache(maxsize=CACHE_MAXSIZE)
+def freudenthal(system: RootSystemData, lam: WeightVector) -> WeightMultiset:
+    """Full weight multiset of the irreducible module with highest weight
+    lam: the dominant multiplicities, each written to its Weyl orbit."""
+    return _expand(system, _dominant_freudenthal(system, lam).items())
 
 
 def is_weyl_invariant(system: RootSystemData, ms: WeightMultiset) -> bool:
@@ -240,40 +317,65 @@ def _zero_multiset(system: RootSystemData, mult: int) -> WeightMultiset:
     return WeightMultiset.from_dict({(0,) * system.rank: mult})
 
 
-def expected_w_multiset(system: RootSystemData) -> tuple[WeightMultiset, str]:
-    """The predicted complement W of the top module inside sym2(lines)."""
+def expected_w_character(system: RootSystemData) -> tuple[DominantCharacter | None, str]:
+    """The predicted complement W of the top module inside sym2(lines), at
+    its dominant weights.  On E with n <= 7 it is read off the enumerated
+    rulings, and is None when they are not Weyl invariant, so that no
+    complement matches."""
     fam = system.lattice.family
+    zero = (0,) * system.rank
     if fam.kind == "A":
-        return WeightMultiset(()), "empty"
+        return _character(system, {}), "empty"
     if fam.kind == "D":
-        return _zero_multiset(system, 1), "one zero weight"
-    if fam.n <= 6:
-        return ruling_weight_multiset(system), "ruling weights"
+        return _character(system, {zero: 1}), "one zero weight"
+    if fam.n == 8:
+        top = _dominant_freudenthal(system, weight_of(system, ruling_highest_class(system.lattice)))
+        top[zero] = top.get(zero, 0) + 1
+        return _character(system, top), "3875-module plus one zero weight"
+    rulings, description = ruling_weight_multiset(system), "ruling weights"
     if fam.n == 7:
-        rulings = ruling_weight_multiset(system).add(_zero_multiset(system, 7))
-        return rulings, "ruling weights plus zero^7"
-    top = freudenthal(system, weight_of(system, ruling_highest_class(system.lattice)))
-    return top.add(_zero_multiset(system, 1)), "3875-module plus one zero weight"
+        rulings, description = rulings.add(_zero_multiset(system, 7)), "ruling weights plus zero^7"
+    if not is_weyl_invariant(system, rulings):
+        return None, description
+    return _dominant_part(system, rulings), description
 
 
 def decompose_sym2(system: RootSystemData):
     """Split sym2(line weights) into the top module and its complement.
 
-    Returns ``(v_part, w_part, report)`` where ``v_part`` is the Freudenthal
-    multiset of twice the highest line weight, ``w_part`` the exact multiset
-    difference, and ``report`` records totals and whether ``w_part`` matches
-    the family prediction.
+    Returns ``(v_part, w_part, report)``: the dominant characters of the
+    module of twice the highest line weight and of the exact difference, and
+    a report of the totals and whether ``w_part`` matches the family
+    prediction.  Every multiset compared is Weyl invariant, so each is
+    compared at the dominant weights below twice the highest line weight,
+    where the top module lives; the sym2 total shows that nothing lies
+    elsewhere.  At a dominant tau, with m the line multiplicities,
+
+        sym2(tau) = (sum_mu m(mu) m(tau - mu) + m(tau / 2)) / 2.
     """
     lines_ms = line_weight_multiset(system)
-    sym2 = sym2_multiset(lines_ms)
+    if not is_weyl_invariant(system, lines_ms):
+        raise AssertionError("line weights are not Weyl invariant")
+    m = lines_ms.as_dict()
     lam = tuple(2 * x for x in weight_of(system, line_highest_class(system.lattice)))
-    v_part = freudenthal(system, lam)
-    w_part = sym2.subtract(v_part)
-    expected, description = expected_w_multiset(system)
+    v_dom = _dominant_freudenthal(system, lam)
+    sym2: dict[WeightVector, int] = {}
+    for tau in v_dom:
+        acc = sum(k * m.get(tuple(map(sub, tau, w)), 0) for w, k in lines_ms.entries)
+        if not any(t % 2 for t in tau):
+            acc += m.get(tuple(t // 2 for t in tau), 0)
+        sym2[tau] = acc // 2
+    sym2_total = _character(system, sym2).total
+    t = lines_ms.total
+    if sym2_total != t * (t + 1) // 2:
+        raise AssertionError(f"sym2 total {sym2_total} != {t * (t + 1) // 2}")
+    v_part = _character(system, v_dom)
+    w_part = _character(system, {tau: s - v_dom[tau] for tau, s in sym2.items()})
+    expected, description = expected_w_character(system)
     report = {
         "family": system.lattice.family.label,
-        "line_total": lines_ms.total,
-        "sym2_total": sym2.total,
+        "line_total": t,
+        "sym2_total": sym2_total,
         "v_total": v_part.total,
         "w_total": w_part.total,
         "expected_w": description,
@@ -288,7 +390,7 @@ def verify_weight_lemma(system: RootSystemData) -> dict:
     Part one (all families): the weights of the irreducible generated by the
     highest line weight are exactly the line weights.  Part two (E family):
     for n <= 7 the module generated by the ``h - l1`` weight is the
-    complement W that `expected_w_multiset` predicts (the ruling weights,
+    complement W that `expected_w_character` predicts (the ruling weights,
     plus seven zero weights at n = 7); at n = 8 it strictly contains the
     rulings, with multiplicity one each.
     """
@@ -307,7 +409,7 @@ def verify_weight_lemma(system: RootSystemData) -> dict:
         report["ruling_module_total"] = pi_r.total
         report["ruling_count"] = rulings.total
         if fam.n <= 7:
-            good = pi_r == expected_w_multiset(system)[0]
+            good = _dominant_part(system, pi_r) == expected_w_character(system)[0]
             report["ruling_relation"] = "equal" if fam.n <= 6 else "equal plus zero^7"
         else:
             d = pi_r.as_dict()

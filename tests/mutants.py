@@ -101,6 +101,31 @@ MUTANTS = (
         "_zero_multiset(system, 6))",
         ("tests/test_acceptance.py::test_acceptance[C2]", "tests/test_acceptance.py::test_acceptance[C3]"),
     ),
+    # The square of a weight is paired with itself once: without the
+    # m(tau / 2) term every sym2 value at tau = 2 mu is short, and so is the
+    # total.
+    Mutant(
+        "sym2-drops-the-half-weight-term",
+        "weights.py",
+        "acc += m.get(tuple(t // 2 for t in tau), 0)",
+        "acc += 0",
+        (
+            "tests/test_weights.py::test_decompose_sym2_e8",
+            "tests/test_weights.py::test_dominant_sym2_character_expands_to_the_full_square[D-4]",
+        ),
+    ),
+    # A walk that never pushes a neighbour stops at a weight that is not
+    # dominant, and the recursion reads 0 there.
+    Mutant(
+        "dominant-walk-stops-early",
+        "roots.py",
+        "                    todo.append(j)\n",
+        "                    pass\n",
+        (
+            "tests/test_weights.py::test_dominant_walk_matches_the_rescanning_reference[E-8]",
+            "tests/test_weights.py::test_weight_kernel_matches_fraction_reference[E-8]",
+        ),
+    ),
     # y_k numbered as x_k: the monomials of a class name the wrong generators.
     Mutant(
         "class-monomials-y-numbering",

@@ -166,5 +166,5 @@ def test_no_value_class_writes_out_a_constructor_that_only_stores_its_fields():
                     and _stores_only_its_parameters(item)
                 ):
                     boilerplate.append(f"{path.name}:{node.name}")
-    assert len(subclasses) == 14
+    assert len(subclasses) == 15
     assert boilerplate == []

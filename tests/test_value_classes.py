@@ -2,8 +2,9 @@
 
 Each class below is a reference twin: a ``@dataclass(frozen=True)``
 declaration with the same name (the package used such declarations before
-it dropped :mod:`dataclasses` to cut its import time), so that reprs match
-character for character.  Every sample object is compared with its twin
+it dropped :mod:`dataclasses` to cut its import time, and a value class
+added since, such as `DominantCharacter`, behaves as one), so that reprs
+match character for character.  Every sample object is compared with its twin
 built from the same field values, on E3-E8, D2-D9 and A1-A8: equality,
 hash, repr, ordering, immutability, the fields kept out of equality, and
 keyword construction with the field names.  A lattice, a root system and a
@@ -74,6 +75,12 @@ class WeightMultiset:
 
 
 @dataclass(frozen=True)
+class DominantCharacter:
+    entries: tuple
+    total: int
+
+
+@dataclass(frozen=True)
 class SurfaceConfigD:
     points: tuple
 
@@ -133,6 +140,7 @@ TWINS = {
     A.ClassSet: ClassSet,
     A.RootSystemData: RootSystemData,
     A.WeightMultiset: WeightMultiset,
+    A.DominantCharacter: DominantCharacter,
     A.SurfaceConfigD: SurfaceConfigD,
     A.Generator: Generator,
     A.Relation: Relation,
@@ -164,6 +172,7 @@ def _surface_samples(kind, n):
     system = A.build_root_system(lat)
     lines = A.enumerate_lines(lat)
     out = [family, lat, system, lines, A.line_weight_multiset(system), lat.K, lat.C]
+    out += list(A.decompose_sym2(system)[:2])
     out += list(lines.classes[:4]) + list(system.positive_roots[:4])
     if kind == "D" and n >= 3:
         config = A.SurfaceConfigD(tuple(Fraction(i, 2) for i in range(n)))
@@ -311,6 +320,30 @@ def _empty_quadric_system():
     return A.QuadricSystem((), (A.Relation((), A.basis_class(lat, "f")),))
 
 
+def _d3_cone(quadrics=None, substitution=None):
+    """The D3 cone's six variables X1, Y1, ..., Y3 with its own quadric, or
+    with ``quadrics`` in its place, and ``substitution``."""
+    cone = A.cone_quadric_D(A.build_lattice(A.SurfaceFamily("D", 3)))
+    return A.QuadricSystem(cone.variables, cone.quadrics if quadrics is None else quadrics, substitution)
+
+
+def _d3_cone_at_negative_indices():
+    """The D3 cone quadric written with the indices -6..-1, which once
+    wrapped around to the same variables."""
+    cone = A.cone_quadric_D(A.build_lattice(A.SurfaceFamily("D", 3)))
+    quadric = cone.quadrics[0]
+    terms = tuple((c, tuple(i - 6 for i in mono)) for c, mono in quadric.terms)
+    return _d3_cone((A.Relation(terms, quadric.cls),))
+
+
+def _d3_cone_with_an_unknown_target():
+    return _d3_cone(substitution=(("X1", 1, "nope"),))
+
+
+def _d3_cone_naming_x1_twice():
+    return _d3_cone(substitution=(("X1", 1, "Y1"), ("X1", 1, "Y2")))
+
+
 # The selftest does not repeat the three relation refusals (C4, C6 and C7
 # fail by the exception), so these cases are what guards them.
 @pytest.mark.parametrize(
@@ -324,6 +357,11 @@ def _empty_quadric_system():
         (lambda: _d3_relation(), "relation with no terms"),
         (lambda: _d3_relation((1, (0, 3)), (0, (1, 4))), "relation carries a zero coefficient"),
         (lambda: _d3_relation((1, (0, 3)), (1, (0,))), "relation is not homogeneous"),
+        (lambda: _d3_relation((1, (0, 3)), (1, (0, 99))), "relation names a generator outside the generator list"),
+        (_d3_cone_at_negative_indices, "relation names a generator outside the generator list"),
+        (lambda: A.QuadricSystem((), (), (("X1", 1, "nope"),)), "substitution names an unknown variable"),
+        (_d3_cone_with_an_unknown_target, "substitution names an unknown variable"),
+        (_d3_cone_naming_x1_twice, "substitution names a variable twice"),
     ],
 )
 def test_constructors_validate_with_the_same_messages(build, message):
@@ -340,6 +378,7 @@ def test_the_classes_that_only_store_their_fields_use_the_base_constructor():
         "Check",
         "CheckResult",
         "ClassSet",
+        "DominantCharacter",
         "Generator",
         "Relation",
         "RelationCensus",

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adecox import (
+    DivisorClass,
     SurfaceFamily,
     WeightMultiset,
     basis_class,
@@ -31,10 +32,11 @@ from adecox import (
     weight_of,
     weyl_dim,
 )
+from adecox import weights as weights_module
 from adecox.curves import _enumerate_kind
 from adecox.lattice import CACHE_MAXSIZE, pair
-from adecox.roots import _positive_root_coeffs, weyl_orbit
-from adecox.weights import expected_w_multiset
+from adecox.roots import _dominant_labels, _orbit_labels, _positive_root_coeffs, weyl_orbit
+from adecox.weights import _dominant_freudenthal, _expand, _orbit_size, expected_w_character
 from dense_linalg import invert
 
 
@@ -243,9 +245,51 @@ def test_verify_weight_lemma_reports():
 )
 def test_expected_w_multiset_descriptions_and_totals(kind, n, description, total):
     system = _system(kind, n)
-    expected, said = expected_w_multiset(system)
+    expected, said = expected_w_character(system)
     assert (said, expected.total) == (description, total)
-    assert is_weyl_invariant(system, expected)
+    full = _full_expected_w(system)
+    assert is_weyl_invariant(system, full)
+    assert _expand(system, expected.entries) == full
+
+
+def _full_expected_w(system):
+    """The predicted complement as a whole multiset: from the enumerated
+    rulings, or from the full recursion on (E, 8)."""
+    fam = system.lattice.family
+
+    def zeros(k):
+        return WeightMultiset.from_dict({(0,) * system.rank: k})
+
+    if fam.kind == "A":
+        return WeightMultiset(())
+    if fam.kind == "D":
+        return zeros(1)
+    if fam.n == 8:
+        return freudenthal(system, weight_of(system, ruling_highest_class(system.lattice))).add(zeros(1))
+    rulings = ruling_weight_multiset(system)
+    return rulings if fam.n <= 6 else rulings.add(zeros(7))
+
+
+def test_decompose_sym2_refuses_line_weights_that_are_not_weyl_invariant(monkeypatch):
+    # Their symmetric square would not be read off its dominant weights.
+    system = _system("D", 4)
+    spoilt = WeightMultiset(line_weight_multiset(system).entries[1:])
+    monkeypatch.setattr(weights_module, "line_weight_multiset", lambda _system: spoilt)
+    with pytest.raises(AssertionError, match="line weights are not Weyl invariant"):
+        decompose_sym2(system)
+
+
+def test_rulings_that_are_not_weyl_invariant_match_no_complement(monkeypatch):
+    # Dropping a weight that is not dominant leaves the dominant part as it
+    # was; only the invariance check tells the spoilt rulings apart.
+    system = _system("E", 6)
+    rulings = ruling_weight_multiset(system)
+    assert decompose_sym2(system)[2]["w_matches_expected"]
+    drop = next(w for w, _ in rulings.entries if min(w) < 0)
+    spoilt = WeightMultiset(tuple((w, m) for w, m in rulings.entries if w != drop))
+    monkeypatch.setattr(weights_module, "ruling_weight_multiset", lambda _system: spoilt)
+    assert expected_w_character(system)[0] is None
+    assert decompose_sym2(system)[2]["w_matches_expected"] is False
 
 
 @pytest.mark.parametrize("fn", [weyl_dim, freudenthal])
@@ -355,7 +399,7 @@ def _ref_positive_roots(system):
     lattice = system.lattice
     roots = []
     for coeffs in _ref_positive_root_coeffs(_cartan(system)):
-        total = lattice.zero()
+        total = DivisorClass((0,) * lattice.rank)
         for c, a in zip(coeffs, system.simple_roots):
             if c:
                 total = total + c * a
@@ -528,6 +572,48 @@ def test_weight_kernel_matches_fraction_reference(kind, n):
         assert freudenthal(system, lam) == _ref_freudenthal(system, lam), lam
 
 
+@pytest.mark.parametrize("kind,n", ORACLE_SYSTEMS)
+def test_orbit_size_formula_matches_the_orbit_walk(kind, n):
+    # Every dominant weight below twice the line weight.
+    system = _system(kind, n)
+    lam = weight_of(system, line_highest_class(system.lattice))
+    for mu in _dominant_freudenthal(system, tuple(2 * x for x in lam)):
+        assert _orbit_size(system, mu) == len(_orbit_labels(system.cartan_rows, mu)), mu
+
+
+@pytest.mark.parametrize("kind,n,order", [("E", 6, 51_840), ("E", 7, 2_903_040), ("E", 8, 696_729_600)])
+def test_weyl_group_order_is_the_orbit_size_of_a_regular_weight(kind, n, order):
+    system = _system(kind, n)
+    assert _orbit_size(system, (1,) * system.rank) == order
+
+
+@pytest.mark.parametrize("kind,n", ORACLE_SYSTEMS)
+def test_dominant_walk_matches_the_rescanning_reference(kind, n):
+    # One table of walked weights is shared by all the walks, as in the
+    # recursion, and a fresh one is used for each.
+    system = _system(kind, n)
+    cartan = _cartan(system)
+    rng = random.Random(f"walk {kind}{n}")
+    reps = {}
+    for _ in range(200):
+        w = tuple(rng.randint(-3, 3) for _ in range(system.rank))
+        top = _ref_dominant_rep(cartan, w)
+        assert min(top) >= 0
+        assert _dominant_labels(system.cartan_rows, w, reps) == top
+        assert _dominant_labels(system.cartan_rows, w, {}) == top
+
+
+@pytest.mark.parametrize("kind,n", ORACLE_SYSTEMS)
+def test_dominant_sym2_character_expands_to_the_full_square(kind, n):
+    system = _system(kind, n)
+    v_part, w_part, report = decompose_sym2(system)
+    v_full, w_full = _expand(system, v_part.entries), _expand(system, w_part.entries)
+    assert (v_full.total, w_full.total) == (v_part.total, w_part.total) == (report["v_total"], report["w_total"])
+    assert v_full.add(w_full) == sym2_multiset(line_weight_multiset(system))
+    lam = weight_of(system, line_highest_class(system.lattice))
+    assert v_full == freudenthal(system, tuple(2 * x for x in lam))
+
+
 def test_weight_of_rejects_wrong_coordinate_length():
     system = _system("E", 6)
     with pytest.raises(ValueError):
@@ -557,7 +643,7 @@ def test_positive_root_coeffs_carry_cartan_labels(kind, n):
         assert labels == tuple(sum(cartan[i][j] * c[i] for i in range(rank)) for j in range(rank))
     assert sorted(system.closure) == list(pos)
     for root, (coeffs, _) in zip(system.positive_roots, system.closure):
-        total = system.lattice.zero()
+        total = DivisorClass((0,) * system.lattice.rank)
         for c, a in zip(coeffs, system.simple_roots):
             total = total + c * a
         assert total == root
