@@ -11,7 +11,7 @@ and ``quadrics`` prints the entry of ``selftest.quadrics_entries``, the one
 C6 and C8 check.  Every ``pass`` printed comes from those functions.
 Only ``hilbert`` and ``git`` take ``--points`` and ``--max-degree``; the
 other checks refuse both.  ``git`` with points computes the ray dimensions
-by exact rank on the presentation.
+as standard-monomial counts on the presentation.
 
 Output is deterministic: JSON is serialized with sorted keys, rationals are
 rendered as ``p/q`` strings, and divisor classes as integer arrays in the

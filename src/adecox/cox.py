@@ -3,8 +3,10 @@
 The ring studied here is graded by the divisor classes orthogonal to the
 marking class ``C``.  All generators sit in anticanonical degree 1, so a
 graded piece is spanned by the monomials of one class and cut down by the
-quadratic relations; its dimension is an exact rank computation over the
-rationals.
+quadratic relations.  A presentation is accepted only when its relations'
+leading monomials are pairwise coprime, so that they are a Groebner basis;
+a piece's dimension is then its standard-monomial count, the monomials
+that no leading monomial divides (Macaulay's basis theorem).
 
 Families differ in what can be written down explicitly:
 
@@ -20,14 +22,14 @@ A monomial is a nondecreasing tuple of generator indices in the order of
 `cox_generators`: ``x_i`` is ``i - 1``, and on D ``y_i`` is ``n + i - 1``.
 The monomials of one class are listed in closed form (`_class_monomials`)
 or from one table per call (`_monomial_table`), in any order: `_piece_dim`
-alone orders them as the columns of the exact rank.
+only counts them.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, sub
+from operator import add
 
 from .curves import KINDS, enumerate_lines, pairs_of_lines_summing_to
 from .lattice import (
@@ -37,18 +39,19 @@ from .lattice import (
     basis_class,
     pair,
 )
-from .linalg import rational_rank
+# Not called here: bench/spans.py's Tracer.wrap_rank wraps cox.rational_rank.
+from .linalg import rational_rank  # noqa: F401
 from .roots import build_root_system
 from .weights import WeightVector, weight_of
 
 # Most monomial positions (monomials times degree) graded_piece_dim may list
-# for one class (and for each shift class), and most verify_hilbert may hold
-# in its per-call table.  In process, graded_piece_dim takes 0.23 s at 35 MB
-# peak RSS on D3 at 100f (1,030,200 positions), 1.8 s at 151 MB at 200f (8.1 M).
-# verify_hilbert also refuses a report whose classes times rank pass it,
-# before any rank work: A40 to degree 4 fits the table (581,790 positions)
-# but has 148,995 classes (6,257,790 coordinates); cold, it took 9.7 s at
-# 771 MB and wrote 112 MB of JSON.  A24 (617,526) runs in 0.8 s cold.
+# for one class, and most verify_hilbert may hold in its per-call table.  In
+# process, graded_piece_dim takes 0.23 s at 35 MB peak RSS on D3 at 100f
+# (1,030,200 positions), 1.8 s at 151 MB at 200f (8.1 M).  verify_hilbert
+# also refuses a report whose classes times rank pass it, before any piece
+# is counted: A40 to degree 4 fits the table (581,790 positions) but has
+# 148,995 classes (6,257,790 coordinates); cold, it took 9.7 s at 771 MB and
+# wrote 112 MB of JSON.  A24 (617,526) runs in 0.8 s cold.
 MONOMIAL_CAP = 1_000_000
 # Longest ray git_hilbert walks.  In process, verify --which git without
 # points takes 0.06 s at 20 MB to 10,000 and 0.42 s at 53 MB to 100,000.
@@ -82,12 +85,14 @@ class Relation(_Frozen):
 
 
 def _check_relations(generators: tuple[Generator, ...], relations: tuple[Relation, ...]) -> None:
-    """Refuse a relation with no terms, a zero coefficient, a generator index
-    outside ``range(len(generators))``, or a term whose generators do not sum
-    to its class."""
+    """Refuse a relation with no terms, a monomial named twice, a zero
+    coefficient, a generator index outside ``range(len(generators))``, or a
+    term whose generators do not sum to its class."""
     for rel in relations:
         if not rel.terms:
             raise ValueError("relation with no terms")
+        if len({tuple(sorted(mono)) for _, mono in rel.terms}) != len(rel.terms):
+            raise ValueError("relation names a monomial twice")
         for coeff, mono in rel.terms:
             if coeff == 0:
                 raise ValueError("relation carries a zero coefficient")
@@ -103,28 +108,25 @@ def _check_relations(generators: tuple[Generator, ...], relations: tuple[Relatio
 class CoxPresentation(_Frozen):
     # The lattice and the relations are the key.  ``generators`` comes from
     # `cox_generators`, whose order numbers the generators in every
-    # monomial; it and ``_groups`` take no part in equality, hash or repr.
+    # monomial; it and ``_leads`` take no part in equality, hash or repr.
     _fields = ("lattice", "relations")
-    __slots__ = _fields + ("generators", "_groups")
+    __slots__ = _fields + ("generators", "_leads")
 
     def __init__(self, lattice: IntersectionLattice, relations: tuple[Relation, ...]):
         super().__init__(lattice, relations)
         self._set(generators=tuple(Generator(name, cls) for name, cls in cox_generators(lattice)))
         _check_relations(self.generators, self.relations)
-        # Relations grouped by class as (class, degree, relations), each term
-        # as (integer coefficient, sorted generator indices); scaling a
-        # relation by a nonzero integer leaves every rank unchanged.
-        groups: dict[tuple[int, ...], list] = {}
-        for rel in self.relations:
-            den = math.lcm(*(Fraction(c).denominator for c, _ in rel.terms))
-            terms = tuple(
-                (int(Fraction(c) * den), tuple(sorted(mono)))
-                for c, mono in rel.terms
-            )
-            groups.setdefault(rel.cls.coords, []).append(terms)
-        self._set(
-            _groups=tuple((cls, len(rels[0][0][1]), tuple(rels)) for cls, rels in groups.items())
-        )
+        # Each relation's leading monomial is its largest sorted
+        # generator-index tuple: graded reverse lex with x_1 last.  Pairwise
+        # coprime leading monomials make the relations a Groebner basis
+        # (Buchberger's first criterion), which `_piece_dim` counts on.
+        leads = tuple(max(tuple(sorted(mono)) for _, mono in rel.terms) for rel in self.relations)
+        seen: set[int] = set()
+        for lead in leads:
+            if seen.intersection(lead):
+                raise ValueError("leading monomials are not pairwise coprime")
+            seen.update(lead)
+        self._set(_leads=leads)
 
 
 def anticanonical_shift(lattice: IntersectionLattice) -> DivisorClass:
@@ -355,28 +357,31 @@ def _monomial_table(
     return levels
 
 
-def _piece_dim(presentation: CoxPresentation, monomials, shift_lists) -> int:
-    """Monomial count minus the rank of the relation * shift rows.
+def _piece_dim(presentation: CoxPresentation, monomials) -> int:
+    """The standard-monomial count: how many of ``monomials`` no leading
+    monomial of the presentation divides.
 
-    ``shift_lists[k]`` holds the monomials of class ``d - cls`` for the k-th
-    relation group; every relation of the group times every shift is one
-    row.  Listed in any order, the columns are numbered here, in descending
-    tuple order: graded reverse lex with ``x_1`` last.  There the D
-    relations lead with ``x_i y_i`` (i >= 3), pairwise coprime, so they are
-    a Groebner basis (Buchberger's first criterion), and the rows with
-    distinct leading monomials form the staircase `rational_rank` keeps.
+    The leading monomials are pairwise coprime (`CoxPresentation` refuses
+    others), so the relations are a Groebner basis and the standard
+    monomials of a class are a basis of its piece (Macaulay's basis
+    theorem; Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*,
+    ch. 2 section 9 and ch. 5 section 3).  The monomials may come in any
+    order.
     """
-    index = {mono: j for j, mono in enumerate(sorted(monomials, reverse=True))}
-    rows = []
-    for (_, _, rels), shifts in zip(presentation._groups, shift_lists):
-        for shift in shifts:
-            for terms in rels:
-                row: dict[int, int] = {}
-                for coeff, mono in terms:
-                    col = index[tuple(sorted(mono + shift))]
-                    row[col] = row.get(col, 0) + coeff
-                rows.append(row)
-    return len(monomials) - rational_rank(rows)
+    # Plain loops: most pieces that verify_hilbert counts hold one or two
+    # monomials, and there any/all generator expressions made verify_hilbert
+    # on D6 to degree 6 take 95 ms in place of 59 ms.
+    standard = 0
+    for mono in monomials:
+        for lead in presentation._leads:
+            for i in lead:
+                if mono.count(i) < lead.count(i):
+                    break
+            else:
+                break  # this lead divides mono
+        else:
+            standard += 1
+    return standard
 
 
 def graded_piece_dim(
@@ -386,23 +391,12 @@ def graded_piece_dim(
 ) -> int:
     """Dimension of the class-``d`` piece of the presented quotient ring.
 
-    Counts the monomials of class ``d`` and subtracts the exact rank of the
-    matrix whose rows are all products relation * monomial landing in that
-    class.  Only monomials of class ``d`` and of the shift classes
-    ``d - rel.cls`` are listed; ``MONOMIAL_CAP`` bounds the positions of
-    each of those lists.
+    The standard-monomial count of the monomials of class ``d``, which are
+    the only ones listed; ``MONOMIAL_CAP`` bounds their positions.
     """
     if lattice != presentation.lattice:
         raise ValueError("lattice does not match the presentation")
-    coords = _orthogonal_coords(lattice, d)
-    monomials = _class_monomials(presentation, coords)
-    if not monomials:
-        return 0
-    shift_lists = [
-        _class_monomials(presentation, tuple(map(sub, coords, cls)))
-        for cls, _, _ in presentation._groups
-    ]
-    return _piece_dim(presentation, monomials, shift_lists)
+    return _piece_dim(presentation, _class_monomials(presentation, _orthogonal_coords(lattice, d)))
 
 
 def verify_hilbert(
@@ -434,11 +428,7 @@ def verify_hilbert(
     mismatches = []
     for deg, level in enumerate(levels):
         for coords in sorted(level):
-            shift_lists = [
-                levels[deg - rdeg].get(tuple(map(sub, coords, cls)), ()) if deg >= rdeg else ()
-                for cls, rdeg, _ in presentation._groups
-            ]
-            g = _piece_dim(presentation, level[coords], shift_lists)
+            g = _piece_dim(presentation, level[coords])
             s = section_dim(lattice, DivisorClass(coords))
             entry = {
                 "class": list(coords),
@@ -542,7 +532,7 @@ def git_hilbert(
     else:
         raise ValueError("GIT Hilbert functions cover the A and D families only")
     # Largest piece first, so that a ray past MONOMIAL_CAP is refused before
-    # any rank work on the smaller pieces.
+    # the smaller pieces are counted.
     dims = []
     for k in range(max_k, -1, -1):
         cls = ray * k

@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals.
 
-``rational_rank`` is the package's one rank kernel.  Its matrices are sparse
-and tall (a relation times a monomial has at most a few nonzero entries), so
-it eliminates fraction-free over the integers on ``{column: value}`` rows,
-each scaled to integers and divided by the gcd of its entries.  Rows whose
-smallest column is fresh are already in echelon form and are kept as they
-are; only the rest are reduced.  No floating point anywhere.
+``rational_rank`` is the package's one rank kernel.  Its callers are
+`flag`'s membership certificate and the tests' elimination oracles; `cox`
+counts standard monomials instead.  Its matrices are sparse (a relation has
+a few nonzero entries), so it eliminates fraction-free over the integers on
+``{column: value}`` rows, each scaled to integers and divided by the gcd of
+its entries.  Rows whose smallest column is fresh are already in echelon
+form and are kept as they are; only the rest are reduced.  No floating
+point anywhere.
 """
 
 from __future__ import annotations

@@ -230,8 +230,9 @@ def _census_entries(lattice: IntersectionLattice) -> list[dict]:
 def _git_entries(
     lattice: IntersectionLattice, config: SurfaceConfigD | None, max_degree: int
 ) -> list[dict]:
-    """Invariant dimensions along ``f`` (D) or ``l1`` (A), by exact rank on
-    the presentation when fiber positions are given, else by section count."""
+    """Invariant dimensions along ``f`` (D) or ``l1`` (A), as
+    standard-monomial counts on the presentation when fiber positions are
+    given, else by section count."""
     fam = lattice.family
     if fam.kind not in ("A", "D"):
         raise ValueError("git verification covers the A and D families")
@@ -459,6 +460,12 @@ def _check_weight_lemma() -> list[str]:
 
 
 def _check_dn_cox() -> list[str]:
+    # The graded dimensions are standard-monomial counts, so C4 rests on the
+    # certificate `CoxPresentation` checks (the leading monomials x_i y_i,
+    # i >= 3, are pairwise coprime: a Groebner basis) and on the listing of
+    # each class's monomials.  The class a f + sum c_i l_i has a_0 + 1
+    # monomials with no factor x_i y_i, i >= 3, `section_dim`'s count, which
+    # each dimension is checked against.  Elimination is the tier-1 oracle.
     # The presentation's ray 0f..3f, where a*f has degree 2a and a + 1
     # sections, comes from `_git_entries`, as for `verify --which git`.
     problems = []

@@ -35,7 +35,7 @@ Mutant = namedtuple("Mutant", "name path old new tests")
 _VALIDATE = "tests/test_value_classes.py::test_constructors_validate_with_the_same_messages[<lambda>-{}]"
 
 MUTANTS = (
-    # The three refusals of `_check_relations`, which `CoxPresentation` and
+    # Three of the refusals of `_check_relations`, which `CoxPresentation` and
     # `QuadricSystem` both call.
     Mutant(
         "presentation-keeps-an-empty-relation",
@@ -57,6 +57,31 @@ MUTANTS = (
         '            if total != rel.cls:\n                raise ValueError("relation is not homogeneous")\n',
         "",
         (_VALIDATE.format("relation is not homogeneous"),),
+    ),
+    # The certificate behind every graded dimension: without the coprimality
+    # refusal a presentation whose relations need not be a Groebner basis is
+    # kept; with the smallest term as leading monomial, the D relations all
+    # lead with x1 y1 (from n = 4 on), which that refusal catches.
+    Mutant(
+        "presentation-keeps-non-coprime-leads",
+        "cox.py",
+        '            if seen.intersection(lead):\n'
+        '                raise ValueError("leading monomials are not pairwise coprime")\n',
+        "",
+        (
+            "tests/test_value_classes.py::test_constructors_validate_with_the_same_messages"
+            "[_d3_relations_sharing_x3_y3-leading monomials are not pairwise coprime]",
+        ),
+    ),
+    Mutant(
+        "leading-monomial-is-the-smallest-term",
+        "cox.py",
+        "max(tuple(sorted(mono)) for _, mono in rel.terms)",
+        "min(tuple(sorted(mono)) for _, mono in rel.terms)",
+        (
+            "tests/test_cox.py::test_graded_piece_dim_matches_the_standard_monomials[4]",
+            "tests/test_acceptance.py::test_acceptance[C4]",
+        ),
     ),
     # A quadric system that skips the shared check keeps an empty or a
     # class-inhomogeneous quadric.
@@ -138,9 +163,8 @@ MUTANTS = (
         ),
     ),
     # Only the first pass runs: a row whose smallest column already has a
-    # pivot is dropped instead of reduced.  The D pieces cannot show it (their
-    # relations are a Groebner basis, so such a row reduces to zero); the
-    # dense relation rows of the cone embedding can.
+    # pivot is dropped instead of reduced.  The dense relation rows of the
+    # cone embedding show it.
     Mutant(
         "rank-skips-deferred-rows",
         "linalg.py",

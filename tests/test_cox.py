@@ -225,8 +225,8 @@ def test_graded_piece_dim_past_the_old_enumeration_cap():
 
 
 def test_piece_dim_does_not_depend_on_the_listing_order():
-    # _piece_dim numbers the columns itself, so the listers may give their
-    # monomials and shifts in any order.
+    # _piece_dim only counts, so the listers may give their monomials in any
+    # order.
     rng = random.Random(7)
     for n in range(3, 7):
         lat = _lat("D", n)
@@ -234,26 +234,23 @@ def test_piece_dim_does_not_depend_on_the_listing_order():
         f, l1, ln = (basis_class(lat, label) for label in ("f", "l1", f"l{n}"))
         for cls in (f * 2, f * 3, f * 3 - l1, f * 2 + ln, f * 4 - l1 - ln):
             monomials = _class_monomials(pres, cls.coords)
-            shift_lists = [
-                _class_monomials(pres, tuple(a - b for a, b in zip(cls.coords, rel_cls)))
-                for rel_cls, _, _ in pres._groups
-            ]
-            for monos in (monomials, *shift_lists):
-                rng.shuffle(monos)
-            assert _piece_dim(pres, monomials, shift_lists) == graded_piece_dim(pres, lat, cls)
+            rng.shuffle(monomials)
+            assert _piece_dim(pres, monomials) == graded_piece_dim(pres, lat, cls)
 
 
 def test_d6_at_10f_is_its_standard_monomial_count_quickly():
-    # 3,003 monomials and 5,148 relation rows; an elimination that fills in
-    # takes 11-13 s here.
-    lat = _lat("D", 6)
-    pres = cox_presentation(lat, _points(6))
-    f = basis_class(lat, "f")
-    start = time.perf_counter()
-    dim = graded_piece_dim(pres, lat, f * 10)
-    elapsed = time.perf_counter() - start
-    assert dim == _standard_monomials(lat, f * 10)[0] == 11
-    assert elapsed < 5
+    # D6 at 10f: 3,003 monomials and 5,148 relation rows, on which an
+    # elimination that fills in took 11-13 s.  D4 at 40f: 12,341 monomials,
+    # on which elimination took 10.9 s even in the Groebner column order.
+    for n, k in ((6, 10), (4, 40)):
+        lat = _lat("D", n)
+        pres = cox_presentation(lat, _points(n))
+        f = basis_class(lat, "f")
+        start = time.perf_counter()
+        dim = graded_piece_dim(pres, lat, f * k)
+        elapsed = time.perf_counter() - start
+        assert dim == _standard_monomials(lat, f * k)[0] == k + 1
+        assert elapsed < 5
 
 
 def test_graded_piece_dim_refuses_by_count_before_listing():
@@ -477,8 +474,10 @@ def test_git_hilbert_errors():
 
 # ------------------------------------------------------------------
 # Differential oracle: the monomial bucketing that graded_piece_dim used
-# before class-targeted enumeration.  It lists every monomial of a degree
-# and groups them by class, so it is only run on small cases.
+# before class-targeted enumeration, and exact rank on the relation * shift
+# rows, which graded_piece_dim's standard-monomial count replaced.  It lists
+# every monomial of a degree and groups them by class, so it is only run on
+# small cases.
 
 
 def _seeded_points(n, seed):
@@ -523,12 +522,16 @@ def _old_graded_dim(presentation, lattice, d, buckets):
     return len(monomials) - rational_rank(rows)
 
 
-ORACLE_CASES = [("D", n) for n in range(2, 6)] + [("A", n) for n in range(1, 5)]
+# (kind, n, degree): the elimination oracle runs to that degree.
+ORACLE_CASES = (
+    [("D", n, 5) for n in range(2, 6)]
+    + [("A", n, 5) for n in range(1, 5)]
+    + [("D", 6, 4), ("D", 7, 3), ("D", 8, 3)]
+)
 
 
-@pytest.mark.parametrize("kind,n", ORACLE_CASES)
-def test_new_monomial_sources_match_the_old_bucketing(kind, n):
-    max_degree = 5
+@pytest.mark.parametrize("kind,n,max_degree", ORACLE_CASES, ids=[f"{k}-{n}" for k, n, _ in ORACLE_CASES])
+def test_new_monomial_sources_match_the_old_bucketing(kind, n, max_degree):
     lat = _lat(kind, n)
     pres = cox_presentation(lat, _seeded_points(n, seed=10 * n) if kind == "D" else None)
     buckets = [_old_degree_buckets(pres, deg) for deg in range(max_degree + 1)]

@@ -262,7 +262,7 @@ def test_copies_and_pickles_are_equal(cls):
 DERIVED = {
     A.IntersectionLattice: ("basis_labels", "gram_rows", "K", "C", "c_covector"),
     A.RootSystemData: ("simple_roots", "positive_roots", "closure", "cartan_rows", "simple_covectors"),
-    A.CoxPresentation: ("generators", "_groups"),
+    A.CoxPresentation: ("generators", "_leads"),
 }
 
 
@@ -313,6 +313,14 @@ def _d3_relation(*terms):
     return A.CoxPresentation(lat, (A.Relation(terms, A.basis_class(lat, "f")),))
 
 
+def _d3_relations_sharing_x3_y3():
+    """Two D3 relations of class f that both lead with x3 y3 at (2, 5)."""
+    lat = A.build_lattice(A.SurfaceFamily("D", 3))
+    f = A.basis_class(lat, "f")
+    terms = (((1, (0, 3)), (1, (2, 5))), ((1, (1, 4)), (1, (2, 5))))
+    return A.CoxPresentation(lat, tuple(A.Relation(t, f) for t in terms))
+
+
 def _empty_quadric_system():
     """A quadric system whose one quadric has no terms; `QuadricSystem`
     refuses it by the presentation's own check."""
@@ -334,6 +342,11 @@ def _d3_cone_at_negative_indices():
     quadric = cone.quadrics[0]
     terms = tuple((c, tuple(i - 6 for i in mono)) for c, mono in quadric.terms)
     return _d3_cone((A.Relation(terms, quadric.cls),))
+
+
+def _d3_cone_with_x1_y1_minus_y1_x1():
+    f = A.basis_class(A.build_lattice(A.SurfaceFamily("D", 3)), "f")
+    return _d3_cone((A.Relation(((1, (0, 3)), (-1, (3, 0))), f),))
 
 
 def _d3_cone_with_an_unknown_target():
@@ -358,6 +371,10 @@ def _d3_cone_naming_x1_twice():
         (lambda: _d3_relation((1, (0, 3)), (0, (1, 4))), "relation carries a zero coefficient"),
         (lambda: _d3_relation((1, (0, 3)), (1, (0,))), "relation is not homogeneous"),
         (lambda: _d3_relation((1, (0, 3)), (1, (0, 99))), "relation names a generator outside the generator list"),
+        # x1 y1 - y1 x1 is zero; kept, it made f's piece that of the free ring.
+        (lambda: _d3_relation((1, (0, 3)), (-1, (3, 0))), "relation names a monomial twice"),
+        (_d3_cone_with_x1_y1_minus_y1_x1, "relation names a monomial twice"),
+        (_d3_relations_sharing_x3_y3, "leading monomials are not pairwise coprime"),
         (_d3_cone_at_negative_indices, "relation names a generator outside the generator list"),
         (lambda: A.QuadricSystem((), (), (("X1", 1, "nope"),)), "substitution names an unknown variable"),
         (_d3_cone_with_an_unknown_target, "substitution names an unknown variable"),
