@@ -46,12 +46,12 @@ from .lattice import (
     build_lattice,
     degree,
     pair,
+    reflect,
 )
 from .roots import (
     RootSystemData,
     build_root_system,
     classify_type,
-    reflect,
     simple_roots,
     weyl_orbit,
 )

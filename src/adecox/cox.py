@@ -226,40 +226,64 @@ def section_dim(lattice: IntersectionLattice, d: DivisorClass) -> int:
     where the dimension equals ``1 + (D^2 - D.K) / 2``.
     """
     x = _orthogonal_coords(lattice, d)
-    fam = lattice.family
-    if fam.kind == "A":
-        return 1 if all(c >= 0 for c in x[1:]) else 0
-    if fam.kind == "D":
-        a0 = x[0] + sum(c for c in x[2:] if c < 0)
+    kind = lattice.family.kind
+    if kind == "A":
+        # Coordinate 0 is h; the lines are the l_i.
+        for c in x[1:]:
+            if c < 0:
+                return 0
+        return 1
+    if kind == "D":
+        a0 = x[0]
+        for c in x[2:]:
+            if c < 0:
+                a0 += c
         return a0 + 1 if a0 >= 0 else 0
-    if not _has_known_sections(lattice, d, ("lines", "rulings")):
+    numbers = _curve_numbers(lattice, d)
+    if not _has_known_sections(lattice, d, numbers, ("lines", "rulings")):
         raise ValueError(f"unsupported E-family class {d}")
-    return 1 + (pair(lattice, d, d) - pair(lattice, d, lattice.K)) // 2
+    return 1 + (numbers[0] - numbers[1]) // 2
 
 
 def _orthogonal_coords(lattice: IntersectionLattice, d: DivisorClass) -> tuple[int, ...]:
     """The coordinates of ``d``, checked for length and orthogonality to ``C``."""
     x = d.coords
-    if len(x) != lattice.rank:
+    if len(x) != len(lattice.basis_labels):
         raise ValueError("coordinate length does not match the lattice rank")
-    if sum(x[k] * v for k, v in lattice.c_covector):
+    dc = 0
+    for k, v in lattice.c_covector:
+        dc += x[k] * v
+    if dc:
         raise ValueError("class must be orthogonal to C")
     return x
 
 
+def _curve_numbers(lattice: IntersectionLattice, d: DivisorClass) -> tuple[int, int]:
+    """``(D.D, D.K)``, by which ``curves.KINDS`` names each curve kind."""
+    x = d.coords
+    dk = 0
+    for k, v in lattice.k_covector:
+        dk += x[k] * v
+    return pair(lattice, d, d), dk
+
+
 def _has_known_sections(
-    lattice: IntersectionLattice, d: DivisorClass, kinds: tuple[str, ...]
+    lattice: IntersectionLattice,
+    d: DivisorClass,
+    numbers: tuple[int, int],
+    kinds: tuple[str, ...],
 ) -> bool:
-    """Whether a class orthogonal to ``C`` is of one of the curve ``kinds``
-    or is ``-K + C`` on (E, 7) and (E, 8) or ``-2K + 2C`` on (E, 8).
+    """Whether a class orthogonal to ``C``, with ``numbers`` its ``(D.D,
+    D.K)``, is of one of the curve ``kinds`` or is ``-K + C`` on (E, 7) and
+    (E, 8) or ``-2K + 2C`` on (E, 8).
 
     Enumeration is exhaustive (selftest C9 checks it against a box search),
     so a class orthogonal to ``C`` is a line or a ruling exactly when its
     ``(D.D, D.K)`` is that kind's pair in ``curves.KINDS``.
     """
-    numbers = (pair(lattice, d, d), pair(lattice, d, lattice.K))
-    if any(KINDS[kind] == numbers for kind in kinds):
-        return True
+    for kind in kinds:
+        if KINDS[kind] == numbers:
+            return True
     fam = lattice.family
     shift = anticanonical_shift(lattice)
     return fam.kind == "E" and (
@@ -462,7 +486,7 @@ def relation_census(lattice: IntersectionLattice, target: DivisorClass) -> Relat
     generators where those land in the target class.
     """
     _orthogonal_coords(lattice, target)
-    if not _has_known_sections(lattice, target, ("rulings",)):
+    if not _has_known_sections(lattice, target, _curve_numbers(lattice, target), ("rulings",)):
         raise ValueError(f"unsupported census target {target}")
     monomials = pairs_of_lines_summing_to(lattice, target, enumerate_lines(lattice))
     fam = lattice.family
@@ -486,13 +510,13 @@ def torus_character(
 
     The big torus has character lattice Pic modulo ``ZC``; since ``C`` is a
     basis vector in every family, the canonical representative just zeroes
-    that coordinate.  The small torus character is the Dynkin label vector.
+    that coordinate.  The small torus character is the Dynkin label vector,
+    taken first: `weight_of` refuses a class of the wrong length.
     """
+    labels = weight_of(build_root_system(lattice), d)
+    x = d.coords
     idx = lattice.C.coords.index(1)
-    coords = list(d.coords)
-    coords[idx] = 0
-    reduced = DivisorClass(tuple(coords))
-    return reduced, weight_of(build_root_system(lattice), d)
+    return DivisorClass(x[:idx] + (0,) + x[idx + 1 :]), labels
 
 
 def git_hilbert(

@@ -18,13 +18,21 @@ degenerate small-rank cases; they are supported but flagged.
 
 Every Gram matrix here has one nonzero entry per row: ``diag(1, -1, ...)``
 on ``E`` and ``A``, the ``f.s`` hyperbolic block plus ``-I`` on ``D``.  The
-lattice keeps it once, as sparse rows; `pair` walks them, and `covector`
-turns a class into the sparse covector that other modules pair with.
+lattice keeps it once, as sparse rows, and only this module reads them:
+`pair` walks them, `reflect` walks them once for both ``alpha . alpha`` and
+``x . alpha``, and `covector` turns a class into the sparse covector that
+other modules pair with.  The lattice keeps the covectors of ``C`` and ``K``
+(``c_covector``, ``k_covector``), so pairing a class with either is a dot
+product.  The pairings are plain loops: they are the most common calls of
+a warm process, where a generator expression costs two to three times as
+much (E8 `roots.weight_of`: 3.5 us with one, 1.2 us as a loop, in process
+on Python 3.11.7).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, total_ordering
+from operator import add, neg, sub
 
 E_RANGE = range(3, 9)
 
@@ -139,16 +147,16 @@ class DivisorClass(_Frozen):
         return NotImplemented
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return DivisorClass(tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return DivisorClass(tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(tuple(-a for a in self.coords))
+        return DivisorClass(tuple(map(neg, self.coords)))
 
     def __mul__(self, k: int) -> "DivisorClass":
-        return DivisorClass(tuple(k * a for a in self.coords))
+        return DivisorClass(tuple([k * a for a in self.coords]))
 
     __rmul__ = __mul__
 
@@ -189,12 +197,13 @@ class IntersectionLattice(_Frozen):
     # derived from it and take no part in equality, hash or repr.  The form
     # is kept once, as ``gram_rows``: row ``i`` holds the nonzero ``(column,
     # entry)`` pairs of the Gram matrix, one per row on every family.  Only
-    # this module reads it; the others go through `pair` and `covector`.
-    # ``c_covector`` is ``covector(self, C)``, so that pairing a class with
-    # ``C`` is a dot product.  The hash is taken once: lru caches key on
-    # lattices and root systems.
+    # this module reads it; the others go through `pair`, `reflect` and
+    # `covector`.  ``c_covector`` and ``k_covector`` are ``covector(self, C)``
+    # and ``covector(self, K)``, so that pairing a class with ``C`` or ``K``
+    # is a dot product.  The hash is taken once: lru caches key on lattices
+    # and root systems.
     _fields = ("family",)
-    __slots__ = _fields + ("basis_labels", "gram_rows", "K", "C", "c_covector", "_hash")
+    __slots__ = _fields + ("basis_labels", "gram_rows", "K", "C", "c_covector", "k_covector", "_hash")
 
     def __init__(self, family: SurfaceFamily):
         super().__init__(family)
@@ -214,7 +223,7 @@ class IntersectionLattice(_Frozen):
             K = DivisorClass((-2, -2) + (1,) * n)
             C = DivisorClass((1,) + (0,) * (rank - 1))
         self._set(basis_labels=labels, gram_rows=rows, K=K, C=C)
-        self._set(c_covector=covector(self, C), _hash=hash(self._values()))
+        self._set(c_covector=covector(self, C), k_covector=covector(self, K), _hash=hash(self._values()))
 
     def __hash__(self) -> int:
         return self._hash
@@ -237,14 +246,36 @@ def basis_class(lattice: IntersectionLattice, label: str) -> DivisorClass:
 def pair(lattice: IntersectionLattice, d1: DivisorClass, d2: DivisorClass) -> int:
     """Intersection pairing of two classes."""
     x, y = d1.coords, d2.coords
-    if len(x) != lattice.rank or len(y) != lattice.rank:
+    rows = lattice.gram_rows
+    if len(x) != len(rows) or len(y) != len(rows):
         raise ValueError("coordinate length does not match the lattice rank")
     total = 0
-    for a, row in zip(x, lattice.gram_rows):
+    for a, row in zip(x, rows):
         if a:
             for j, g in row:
                 total += a * g * y[j]
     return total
+
+
+def reflect(lattice: IntersectionLattice, x: DivisorClass, alpha: DivisorClass) -> DivisorClass:
+    """Reflection in a root: ``x -> x + (x . alpha) alpha`` for norm -2 roots.
+
+    One pass over the form gives both ``alpha . alpha``, which must be -2,
+    and ``alpha . x``; the form is symmetric, so both are sums over the rows
+    where ``alpha`` is nonzero, and the others are skipped."""
+    xs, ys = x.coords, alpha.coords
+    rows = lattice.gram_rows
+    if len(xs) != len(rows) or len(ys) != len(rows):
+        raise ValueError("coordinate length does not match the lattice rank")
+    norm = t = 0
+    for b, row in zip(ys, rows):
+        if b:
+            for j, g in row:
+                norm += b * g * ys[j]
+                t += b * g * xs[j]
+    if norm != -2:
+        raise ValueError("reflection class must have self intersection -2")
+    return DivisorClass(tuple([a + t * b for a, b in zip(xs, ys)]))
 
 
 def degree(lattice: IntersectionLattice, d: DivisorClass) -> int:
@@ -255,9 +286,17 @@ def degree(lattice: IntersectionLattice, d: DivisorClass) -> int:
 def covector(lattice: IntersectionLattice, d: DivisorClass) -> tuple[tuple[int, int], ...]:
     """The covector ``gram @ d`` as its nonzero ``(index, entry)`` pairs, so
     that pairing a class with ``d`` is a sparse dot product."""
-    return sparse_entries(sum(g * d.coords[j] for j, g in row) for row in lattice.gram_rows)
+    x = d.coords
+    out = []
+    for i, row in enumerate(lattice.gram_rows):
+        v = 0
+        for j, g in row:
+            v += g * x[j]
+        if v:
+            out.append((i, v))
+    return tuple(out)
 
 
 def sparse_entries(vector) -> tuple[tuple[int, int], ...]:
     """The nonzero entries of a vector as ``(index, value)`` pairs."""
-    return tuple((i, v) for i, v in enumerate(vector) if v)
+    return tuple([(i, v) for i, v in enumerate(vector) if v])

@@ -32,10 +32,12 @@ root's coefficients and labels beside the sparse Cartan rows, the one
 Cartan matrix it keeps, so the weight routines in `weights` only read
 them; `build_root_system` caches it.
 Every Weyl orbit is walked by `_orbit_labels`, a breadth-first closure on
-Dynkin labels; `weyl_orbit` carries the class coordinates along.  Each orbit
-meets the dominant chamber in exactly one weight (Humphreys, Introduction to
-Lie Algebras and Representation Theory, 13.2), and `_dominant_labels` walks
-a weight up to it.
+Dynkin labels; `weyl_orbit` carries the class coordinates along, with the
+move rows the root system keeps.  Each orbit meets the dominant chamber in
+exactly one weight (Humphreys, Introduction to Lie Algebras and
+Representation Theory, 13.2), and `_dominant_labels` walks a weight up to
+it.  The reflection of a class in a root, `lattice.reflect`, reads the
+intersection form, and so lives beside it.
 """
 
 from __future__ import annotations
@@ -61,14 +63,19 @@ class RootSystemData(_Frozen):
     # part in equality, hash or repr.  ``closure`` holds the ``(coefficients,
     # labels)`` pair of each positive root from `_positive_root_coeffs`,
     # aligned with ``positive_roots``: its coefficients over the simple roots
-    # and its Cartan pairing.  ``cartan_rows`` holds the Cartan rows as
-    # sparse ``(index, entry)`` pairs, and ``simple_covectors`` holds
-    # ``covector(lattice, alpha_i)`` for each simple root, so pairing a class
-    # with ``alpha_i`` is a sparse dot product.  The hash is taken once: lru
-    # caches key on root systems.
+    # and its Cartan pairing; ``root_supports`` holds each root's
+    # coefficients as sparse ``(index, coefficient)`` pairs, in the same
+    # order.  ``cartan_rows`` holds the Cartan rows as sparse ``(index,
+    # entry)`` pairs, and ``orbit_moves`` extends row ``i`` past the labels
+    # by the entries of ``alpha_i``, the move ``s_i`` makes on the states
+    # ``labels + coords`` that `weyl_orbit` walks.  ``simple_covectors``
+    # holds ``covector(lattice, alpha_i)`` for each simple root, so pairing a
+    # class with ``alpha_i`` is a sparse dot product.  The hash is taken
+    # once: lru caches key on root systems.
     _fields = ("lattice",)
     __slots__ = _fields + (
-        "simple_roots", "positive_roots", "closure", "cartan_rows", "simple_covectors", "_hash",
+        "simple_roots", "positive_roots", "closure", "root_supports", "cartan_rows", "orbit_moves",
+        "simple_covectors", "_hash",
     )
 
     def __init__(self, lattice: IntersectionLattice):
@@ -97,9 +104,13 @@ class RootSystemData(_Frozen):
                         coords[k] += c * v
             roots.append((DivisorClass(tuple(coords)), (coeffs, labels)))
         roots.sort()
-        self._set(simple_roots=alphas, positive_roots=tuple(r for r, _ in roots))
-        self._set(closure=tuple(p for _, p in roots), simple_covectors=covectors)
-        self._set(cartan_rows=tuple(sparse_entries(row) for row in cartan), _hash=hash(self._values()))
+        closure = tuple(p for _, p in roots)
+        rows = tuple(sparse_entries(row) for row in cartan)
+        rank = len(alphas)
+        moves = tuple(row + tuple((rank + k, v) for k, v in a) for row, a in zip(rows, alpha_entries))
+        self._set(simple_roots=alphas, positive_roots=tuple(r for r, _ in roots), closure=closure)
+        self._set(root_supports=tuple(sparse_entries(c) for c, _ in closure), simple_covectors=covectors)
+        self._set(cartan_rows=rows, orbit_moves=moves, _hash=hash(self._values()))
 
     def __hash__(self) -> int:
         return self._hash
@@ -176,19 +187,18 @@ def classify_type(system: RootSystemData) -> str:
     return "x".join(labels)
 
 
-def reflect(lattice: IntersectionLattice, x: DivisorClass, alpha: DivisorClass) -> DivisorClass:
-    """Reflection in a root: ``x -> x + (x . alpha) alpha`` for norm -2 roots."""
-    if pair(lattice, alpha, alpha) != -2:
-        raise ValueError("reflection class must have self intersection -2")
-    return x + pair(lattice, x, alpha) * alpha
-
-
 def weight_of(system: RootSystemData, d: DivisorClass) -> tuple[int, ...]:
     """Dynkin labels of a class: ``(-D . alpha_i)`` over the simple roots."""
     x = d.coords
-    if len(x) != system.lattice.rank:
+    if len(x) != len(system.lattice.basis_labels):
         raise ValueError("coordinate length does not match the lattice rank")
-    return tuple(-sum(x[k] * v for k, v in cov) for cov in system.simple_covectors)
+    labels = []
+    for cov in system.simple_covectors:
+        w = 0
+        for k, v in cov:
+            w -= x[k] * v
+        labels.append(w)
+    return tuple(labels)
 
 
 def _reflect_labels(row, w: tuple[int, ...], t: int) -> tuple[int, ...]:
@@ -248,10 +258,6 @@ def weyl_orbit(system: RootSystemData, seed: DivisorClass) -> ClassSet:
     """Closure of a class under all simple reflections, sorted; walked on
     states ``labels + coords``, as ``s_i(x) = x - w_i alpha_i``."""
     rank = system.rank
-    moves = [
-        row + tuple((rank + k, v) for k, v in sparse_entries(a.coords))
-        for row, a in zip(system.cartan_rows, system.simple_roots)
-    ]
-    states = _orbit_labels(moves, weight_of(system, seed) + seed.coords)
+    states = _orbit_labels(system.orbit_moves, weight_of(system, seed) + seed.coords)
     classes = tuple(DivisorClass(c) for c in sorted(s[rank:] for s in states))
     return ClassSet(lattice=system.lattice, kind="orbit", classes=classes)

@@ -49,8 +49,9 @@ from .lattice import (
     basis_class,
     build_lattice,
     pair,
+    reflect,
 )
-from .roots import build_root_system, classify_type, reflect, weyl_orbit
+from .roots import build_root_system, classify_type, weyl_orbit
 from .weights import (
     WeightMultiset,
     decompose_sym2,

@@ -6,8 +6,9 @@ change the labels, so the map factors through the quotient by those two
 classes.  ``weight_of`` is a dot product with the simple-root covectors the
 root system stores; it lives in `roots`, with the one Weyl orbit walker,
 `roots._orbit_labels`, which `freudenthal` runs on labels.  The root system
-also holds the positive-root closure (each root's coefficients and labels)
-and the sparse Cartan rows; the routines here read them and derive neither.
+also holds the positive-root closure (each root's coefficients and labels),
+each root's sparse support and the sparse Cartan rows; the routines here
+read them and derive none of them.
 
 The Weyl dimension formula and Freudenthal's recursion run on integers.  In
 a simply laced system, with roots of norm 2, a positive root
@@ -50,7 +51,6 @@ from .lattice import (
     IntersectionLattice,
     _Frozen,
     basis_class,
-    sparse_entries,
 )
 from .roots import RootSystemData, _dominant_labels, _orbit_labels, _reflect_labels, weight_of
 
@@ -221,15 +221,21 @@ def _dominant_freudenthal(system: RootSystemData, lam: WeightVector) -> dict[Wei
                         fresh.append(nu)
         frontier = fresh
 
-    support = [(al, sparse_entries(c)) for c, al in system.closure]
+    closure, supports = system.closure, system.root_supports
     rows, reps = system.cartan_rows, {}
     # lam, of depth 0, comes first: it has multiplicity 1.
     mult: dict[WeightVector, int] = {lam: 1}
     for mu in sorted(dom_depth, key=lambda w: (sum(dom_depth[w]), w))[1:]:
         depth = dom_depth[mu]
+        height = sum(depth)
         acc = 0
-        for al, nz in support:
-            kmax = min(depth[i] // ci for i, ci in nz)
+        for (_, al), nz in zip(closure, supports):
+            # The largest k with k alpha <= lam - mu, which the height bounds.
+            kmax = height
+            for i, ci in nz:
+                q = depth[i] // ci
+                if q < kmax:
+                    kmax = q
             nu = mu
             for k in range(1, kmax + 1):
                 nu = tuple(map(add, nu, al))

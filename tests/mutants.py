@@ -209,6 +209,30 @@ MUTANTS = (
         "    def __init__(self, name, cls):\n        super().__init__(name, cls)\n",
         ("tests/test_source.py::test_no_value_class_writes_out_a_constructor_that_only_stores_its_fields",),
     ),
+    # The fused reflection kernel without its root check reflects in any
+    # class: x + (x . h) h for the hyperplane class h.
+    Mutant(
+        "reflect-accepts-a-non-root",
+        "lattice.py",
+        '    if norm != -2:\n        raise ValueError("reflection class must have self intersection -2")\n',
+        "",
+        (
+            "tests/test_roots.py::test_reflect_requires_a_root",
+            "tests/test_pairing_kernels.py::test_pairing_kernels_keep_their_refusals[E6]",
+        ),
+    ),
+    # Every class section_dim reads is orthogonal to C, so a K covector
+    # built from C pairs each to 0 and no E line or ruling is recognised.
+    Mutant(
+        "k-covector-from-c",
+        "lattice.py",
+        "k_covector=covector(self, K)",
+        "k_covector=covector(self, C)",
+        (
+            "tests/test_cox.py::test_section_dim_e_family_supported_shapes",
+            "tests/test_pairing_kernels.py::test_pairing_kernels_match_their_definitions[E8]",
+        ),
+    ),
     # The D form's hyperbolic entry f.s = 1 with its sign flipped in row f:
     # the form is no longer symmetric and pairs f with s to -1.
     Mutant(

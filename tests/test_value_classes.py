@@ -50,6 +50,7 @@ class IntersectionLattice:
     K: object = field(init=False, compare=False, repr=False)
     C: object = field(init=False, compare=False, repr=False)
     c_covector: tuple = field(init=False, compare=False, repr=False)
+    k_covector: tuple = field(init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,9 @@ class RootSystemData:
     simple_roots: tuple = field(init=False, compare=False, repr=False)
     positive_roots: tuple = field(init=False, compare=False, repr=False)
     closure: tuple = field(init=False, compare=False, repr=False)
+    root_supports: tuple = field(init=False, compare=False, repr=False)
     cartan_rows: tuple = field(init=False, compare=False, repr=False)
+    orbit_moves: tuple = field(init=False, compare=False, repr=False)
     simple_covectors: tuple = field(init=False, compare=False, repr=False)
 
 
@@ -260,8 +263,11 @@ def test_copies_and_pickles_are_equal(cls):
 
 
 DERIVED = {
-    A.IntersectionLattice: ("basis_labels", "gram_rows", "K", "C", "c_covector"),
-    A.RootSystemData: ("simple_roots", "positive_roots", "closure", "cartan_rows", "simple_covectors"),
+    A.IntersectionLattice: ("basis_labels", "gram_rows", "K", "C", "c_covector", "k_covector"),
+    A.RootSystemData: (
+        "simple_roots", "positive_roots", "closure", "root_supports", "cartan_rows", "orbit_moves",
+        "simple_covectors",
+    ),
     A.CoxPresentation: ("generators", "_leads"),
 }
 
