@@ -31,13 +31,16 @@ simple-root covectors, runs the positive-root closure once and keeps each
 root's coefficients and labels beside the sparse Cartan rows, the one
 Cartan matrix it keeps, so the weight routines in `weights` only read
 them; `build_root_system` caches it.
-Every Weyl orbit is walked by `_orbit_labels`, a breadth-first closure on
-Dynkin labels; `weyl_orbit` carries the class coordinates along, with the
-move rows the root system keeps.  Each orbit meets the dominant chamber in
-exactly one weight (Humphreys, Introduction to Lie Algebras and
-Representation Theory, 13.2), and `_dominant_labels` walks a weight up to
-it.  The reflection of a class in a root, `lattice.reflect`, reads the
-intersection form, and so lives beside it.
+Each orbit meets the dominant chamber in exactly one weight (Humphreys,
+Reflection Groups and Coxeter Groups, 1.12), and `_dominant_labels` walks a
+weight up to it.  Every Weyl orbit is written out by `_orbit_labels`, a
+reverse search down from that weight (Avis and Fukuda, Reverse search for
+enumeration, Discrete Appl. Math. 65, 1996): each weight but the dominant
+one has one parent, the reflection at its smallest negative label, so each
+weight is reached once, with no set of weights seen.  `weyl_orbit` walks
+the states ``labels + coords``, carrying the class coordinates along with
+the move rows the root system keeps.  The reflection of a class in a root,
+`lattice.reflect`, reads the intersection form, and so lives beside it.
 """
 
 from __future__ import annotations
@@ -68,14 +71,16 @@ class RootSystemData(_Frozen):
     # order.  ``cartan_rows`` holds the Cartan rows as sparse ``(index,
     # entry)`` pairs, and ``orbit_moves`` extends row ``i`` past the labels
     # by the entries of ``alpha_i``, the move ``s_i`` makes on the states
-    # ``labels + coords`` that `weyl_orbit` walks.  ``simple_covectors``
+    # ``labels + coords`` that `weyl_orbit` walks; ``lower_neighbours[i]``
+    # holds the neighbours ``j < i`` of node ``i``, which the reverse search
+    # of `_orbit_labels` reads.  ``simple_covectors``
     # holds ``covector(lattice, alpha_i)`` for each simple root, so pairing a
     # class with ``alpha_i`` is a sparse dot product.  The hash is taken
     # once: lru caches key on root systems.
     _fields = ("lattice",)
     __slots__ = _fields + (
         "simple_roots", "positive_roots", "closure", "root_supports", "cartan_rows", "orbit_moves",
-        "simple_covectors", "_hash",
+        "lower_neighbours", "simple_covectors", "_hash",
     )
 
     def __init__(self, lattice: IntersectionLattice):
@@ -110,7 +115,8 @@ class RootSystemData(_Frozen):
         moves = tuple(row + tuple((rank + k, v) for k, v in a) for row, a in zip(rows, alpha_entries))
         self._set(simple_roots=alphas, positive_roots=tuple(r for r, _ in roots), closure=closure)
         self._set(root_supports=tuple(sparse_entries(c) for c, _ in closure), simple_covectors=covectors)
-        self._set(cartan_rows=rows, orbit_moves=moves, _hash=hash(self._values()))
+        lower = tuple(tuple(j for j, v in row if j < i) for i, row in enumerate(rows))
+        self._set(cartan_rows=rows, orbit_moves=moves, lower_neighbours=lower, _hash=hash(self._values()))
 
     def __hash__(self) -> int:
         return self._hash
@@ -209,24 +215,40 @@ def _reflect_labels(row, w: tuple[int, ...], t: int) -> tuple[int, ...]:
     return tuple(y)
 
 
-def _orbit_labels(rows, start: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """Breadth-first closure under the simple reflections; move ``i`` is Cartan
-    row ``i``, and `weyl_orbit` extends it past the labels to the class."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        fresh = []
-        for w in frontier:
-            for i, row in enumerate(rows):
-                t = w[i]
-                if t == 0:
-                    continue
-                y = _reflect_labels(row, w, t)
-                if y not in seen:
-                    seen.add(y)
-                    fresh.append(y)
-        frontier = fresh
-    return seen
+def _orbit_labels(rows, lower, start: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Each state of the Weyl orbit of the dominant ``start`` exactly once.
+
+    Reverse search (Avis and Fukuda, Reverse search for enumeration,
+    Discrete Appl. Math. 65, 1996): every other weight ``nu`` has one
+    parent, ``s_m nu`` for its smallest negative label ``m``, which lies
+    above it, so the parents form a tree rooted at ``start``.  From ``mu``
+    the move ``s_i`` (with ``t = mu_i > 0``) is a child when no label
+    ``j < i`` of ``s_i mu`` is negative; that label is ``mu_j + t`` for a
+    neighbour ``j`` in ``lower[i]`` and ``mu_j`` otherwise, so the test reads
+    ``mu`` and counts its negative labels below ``i``.  Move ``i`` is row
+    ``i`` of ``rows``: a Cartan row on labels, or an `orbit_moves` row on
+    the states ``labels + coords`` that `weyl_orbit` walks."""
+    # The list grows while it is read, so each weight is expanded once.
+    orbit = [start]
+    for mu in orbit:
+        below = 0
+        for row, low, t in zip(rows, lower, mu):
+            if t < 0:
+                below += 1
+            elif t:
+                # The negative labels below i that s_i leaves negative.
+                left = below
+                if left:
+                    for j in low:
+                        x = mu[j]
+                        if x < 0 <= x + t:
+                            left -= 1
+                if not left:
+                    y = list(mu)
+                    for j, v in row:
+                        y[j] -= t * v
+                    orbit.append(tuple(y))
+    return orbit
 
 
 def _dominant_labels(rows, w: tuple[int, ...], reps: dict) -> tuple[int, ...]:
@@ -235,18 +257,21 @@ def _dominant_labels(rows, w: tuple[int, ...], reps: dict) -> tuple[int, ...]:
     alpha_i``.  It negates label ``i`` and lowers only the labels of the
     neighbours of ``i``, so a worklist holds every negative label, and after
     each reflection only the neighbours whose label turned negative join it.
-    ``reps`` maps weights walked before to their dominant weight; the walk
-    stops at the first of them, and every weight it passes joins them."""
+    ``w`` may be a state ``labels + coords`` walked with `orbit_moves` rows;
+    only label indices join the worklist.  ``reps`` maps weights walked
+    before to their dominant weight; the walk stops at the first of them,
+    and every weight it passes joins them."""
+    rank = len(rows)
     path = [w]
     y = list(w)
-    todo = [i for i, t in enumerate(y) if t < 0]
+    todo = [i for i in range(rank) if y[i] < 0]
     while todo and path[-1] not in reps:
         i = todo.pop()
         t = y[i]
         if t < 0:
             for j, v in rows[i]:
                 y[j] -= t * v
-                if y[j] < 0 <= y[j] + t * v:
+                if y[j] < 0 <= y[j] + t * v and j < rank:
                     todo.append(j)
             path.append(tuple(y))
     top = reps.get(path[-1], path[-1])
@@ -256,8 +281,10 @@ def _dominant_labels(rows, w: tuple[int, ...], reps: dict) -> tuple[int, ...]:
 
 def weyl_orbit(system: RootSystemData, seed: DivisorClass) -> ClassSet:
     """Closure of a class under all simple reflections, sorted; walked on
-    states ``labels + coords``, as ``s_i(x) = x - w_i alpha_i``."""
-    rank = system.rank
-    states = _orbit_labels(system.orbit_moves, weight_of(system, seed) + seed.coords)
-    classes = tuple(DivisorClass(c) for c in sorted(s[rank:] for s in states))
+    states ``labels + coords``, as ``s_i(x) = x - w_i alpha_i``, from the
+    dominant state of the orbit down."""
+    rank, moves = system.rank, system.orbit_moves
+    top = _dominant_labels(moves, weight_of(system, seed) + seed.coords, {})
+    states = _orbit_labels(moves, system.lower_neighbours, top)
+    classes = tuple(map(DivisorClass, sorted([s[rank:] for s in states])))
     return ClassSet(lattice=system.lattice, kind="orbit", classes=classes)

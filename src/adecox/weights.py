@@ -5,7 +5,8 @@ labels ``(-D . alpha_i)_i``; adding multiples of ``K`` or ``C`` does not
 change the labels, so the map factors through the quotient by those two
 classes.  ``weight_of`` is a dot product with the simple-root covectors the
 root system stores; it lives in `roots`, with the one Weyl orbit walker,
-`roots._orbit_labels`, which `freudenthal` runs on labels.  The root system
+`roots._orbit_labels`, a reverse search down from the dominant weight of
+the orbit, which `freudenthal` runs on labels.  The root system
 also holds the positive-root closure (each root's coefficients and labels),
 each root's sparse support and the sparse Cartan rows; the routines here
 read them and derive none of them.
@@ -174,9 +175,10 @@ def _dominant_part(system: RootSystemData, ms: WeightMultiset) -> DominantCharac
 def _expand(system: RootSystemData, entries) -> WeightMultiset:
     """The whole multiset of a dominant part: each multiplicity is written
     to the Weyl orbit of its weight."""
+    rows, lower = system.cartan_rows, system.lower_neighbours
     mult: dict[WeightVector, int] = {}
     for mu, m in entries:
-        mult.update(dict.fromkeys(_orbit_labels(system.cartan_rows, mu), m))
+        mult.update(dict.fromkeys(_orbit_labels(rows, lower, mu), m))
     # The weights are distinct, so sorting them alone orders the pairs.
     return WeightMultiset(tuple([(w, mult[w]) for w in sorted(mult)]))
 

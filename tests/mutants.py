@@ -151,6 +151,30 @@ MUTANTS = (
             "tests/test_weights.py::test_weight_kernel_matches_fraction_reference[E-8]",
         ),
     ),
+    # The climb returns the state one reflection below the dominant one, so
+    # the reverse search walks only the part of the orbit below it.
+    Mutant(
+        "dominant-walk-one-step-short",
+        "roots.py",
+        "top = reps.get(path[-1], path[-1])",
+        "top = reps.get(path[-1], path[-2:][0])",
+        (
+            "tests/test_weights.py::test_orbit_walk_from_a_non_dominant_state_carries_the_coordinates[E-8]",
+            "tests/test_weights.py::test_dominant_walk_matches_the_rescanning_reference[E-8]",
+        ),
+    ),
+    # Without the neighbour exception a negative label below i that s_i
+    # lifts to zero or above still blocks the move, and weights are lost.
+    Mutant(
+        "orbit-walk-drops-the-neighbour-exception",
+        "roots.py",
+        "if x < 0 <= x + t:",
+        "if x < 0 <= x:",
+        (
+            "tests/test_weights.py::test_orbit_walk_reaches_each_weight_once[E-8]",
+            "tests/test_roots.py::test_weyl_orbit_is_the_closure_under_reflect[E-6]",
+        ),
+    ),
     # y_k numbered as x_k: the monomials of a class name the wrong generators.
     Mutant(
         "class-monomials-y-numbering",

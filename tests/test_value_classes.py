@@ -69,6 +69,7 @@ class RootSystemData:
     root_supports: tuple = field(init=False, compare=False, repr=False)
     cartan_rows: tuple = field(init=False, compare=False, repr=False)
     orbit_moves: tuple = field(init=False, compare=False, repr=False)
+    lower_neighbours: tuple = field(init=False, compare=False, repr=False)
     simple_covectors: tuple = field(init=False, compare=False, repr=False)
 
 
@@ -266,7 +267,7 @@ DERIVED = {
     A.IntersectionLattice: ("basis_labels", "gram_rows", "K", "C", "c_covector", "k_covector"),
     A.RootSystemData: (
         "simple_roots", "positive_roots", "closure", "root_supports", "cartan_rows", "orbit_moves",
-        "simple_covectors",
+        "lower_neighbours", "simple_covectors",
     ),
     A.CoxPresentation: ("generators", "_leads"),
 }

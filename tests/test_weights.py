@@ -578,7 +578,46 @@ def test_orbit_size_formula_matches_the_orbit_walk(kind, n):
     system = _system(kind, n)
     lam = weight_of(system, line_highest_class(system.lattice))
     for mu in _dominant_freudenthal(system, tuple(2 * x for x in lam)):
-        assert _orbit_size(system, mu) == len(_orbit_labels(system.cartan_rows, mu)), mu
+        assert _orbit_size(system, mu) == len(_orbit_labels(system.cartan_rows, system.lower_neighbours, mu)), mu
+
+
+WALK_SYSTEMS = [("E", n) for n in range(3, 9)] + [("D", n) for n in range(2, 9)] + [("A", n) for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("kind,n", WALK_SYSTEMS)
+def test_orbit_walk_reaches_each_weight_once(kind, n):
+    # The reverse search keeps no set of weights seen, so a repeat would
+    # show as a duplicate; the breadth-first closure is the oracle.
+    system = _system(kind, n)
+    cartan = _cartan(system)
+    lat = system.lattice
+    line = weight_of(system, line_highest_class(lat))
+    starts = [line, *_dominant_freudenthal(system, tuple(2 * x for x in line))]
+    if kind == "E":
+        starts.append(weight_of(system, ruling_highest_class(lat)))
+    for mu in starts:
+        orbit = _orbit_labels(system.cartan_rows, system.lower_neighbours, mu)
+        assert len(orbit) == len(set(orbit)), mu
+        assert set(orbit) == _ref_orbit_labels(cartan, mu), mu
+        assert len(orbit) == _orbit_size(system, mu), mu
+
+
+@pytest.mark.parametrize("kind,n", [("E", 8), ("E", 6), ("D", 6), ("A", 5)])
+def test_orbit_walk_from_a_non_dominant_state_carries_the_coordinates(kind, n):
+    # A line state ``labels + coords`` is walked up to the dominant state
+    # and then down: every line comes once, each beside its own labels.
+    system = _system(kind, n)
+    lat, rank = system.lattice, system.rank
+    lines = enumerate_lines(lat)
+    seed = next(c for c in lines if min(weight_of(system, c)) < 0)
+    top = _dominant_labels(system.orbit_moves, weight_of(system, seed) + seed.coords, {})
+    assert top[:rank] == _ref_dominant_rep(_cartan(system), weight_of(system, seed))
+    assert top[:rank] == weight_of(system, DivisorClass(top[rank:]))
+    states = _orbit_labels(system.orbit_moves, system.lower_neighbours, top)
+    assert len(states) == len(set(states)) == len(lines)
+    assert {DivisorClass(s[rank:]) for s in states} == lines.as_set()
+    for s in states:
+        assert s[:rank] == weight_of(system, DivisorClass(s[rank:]))
 
 
 @pytest.mark.parametrize("kind,n,order", [("E", 6, 51_840), ("E", 7, 2_903_040), ("E", 8, 696_729_600)])
