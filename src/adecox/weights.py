@@ -4,12 +4,11 @@ A class ``D`` orthogonal to ``C`` determines a weight through its Dynkin
 labels ``(-D . alpha_i)_i``; adding multiples of ``K`` or ``C`` does not
 change the labels, so the map factors through the quotient by those two
 classes.  ``weight_of`` is a dot product with the simple-root covectors the
-root system stores; it lives in `roots`, with the one Weyl orbit walker,
-`roots._orbit_labels`, a reverse search down from the dominant weight of
-the orbit, which `freudenthal` runs on labels.  The root system
-also holds the positive-root closure (each root's coefficients and labels),
-each root's sparse support and the sparse Cartan rows; the routines here
-read them and derive none of them.
+root system stores; it lives in `roots`, with `roots._dominant_labels`,
+which walks a weight up to the dominant weight of its orbit.  The root
+system also holds the positive-root closure (each root's coefficients and
+labels), each root's sparse support and the sparse Cartan rows; the
+routines here read them and derive none of them.
 
 The Weyl dimension formula and Freudenthal's recursion run on integers.  In
 a simply laced system, with roots of norm 2, a positive root
@@ -18,15 +17,18 @@ a simply laced system, with roots of norm 2, a positive root
 ``<lam + rho, lam + rho> - <mu + rho, mu + rho> = sum d_i (lam_i + mu_i + 2)``;
 neither needs the inverse Cartan matrix.
 
-Every multiset compared here is Weyl invariant (the enumerated line and
-ruling multisets are checked to be), and each weight is conjugate to
-exactly one dominant weight (Humphreys, Introduction to Lie Algebras and
-Representation Theory, 13.2), so such a multiset is known from its
-dominant part, a `DominantCharacter`.  The recursion computes multiplicities at
-dominant weights only, reading each term at the dominant weight that
-`roots._dominant_labels` walks up to; `freudenthal` writes them out over
-the orbits.  A total is ``sum m(mu) |W| / |W_mu|`` over the dominant
-weights, with the orbit sizes read off the positive-root heights.
+Each weight is conjugate to exactly one dominant weight (Humphreys,
+Introduction to Lie Algebras and Representation Theory, 13.2), so a Weyl
+invariant multiset is known from its dominant part, a `DominantCharacter`.
+`freudenthal` computes multiplicities at dominant weights only, reading
+each term at the dominant weight that `roots._dominant_labels` walks up to,
+and returns them as one.  A total is ``sum m(mu) |W| / |W_mu|`` over the
+dominant weights, with the orbit sizes read off the positive-root heights.
+An enumerated multiset is compared with a character by `_matches`: each of
+its weights is read at its dominant weight, and the totals must agree.  No
+module is written out over its orbits.  Where a multiset is read at its
+dominant weights alone (the lines in `decompose_sym2`, the rulings in
+`expected_w_character`), it is first checked to be Weyl invariant.
 
 The central identity checked by this module: the multiset of weights of the
 line bundle sum over all lines (plus eight copies of the zero weight in the
@@ -53,7 +55,7 @@ from .lattice import (
     _Frozen,
     basis_class,
 )
-from .roots import RootSystemData, _dominant_labels, _orbit_labels, _reflect_labels, weight_of
+from .roots import RootSystemData, _dominant_labels, _reflect_labels, weight_of
 
 WeightVector = tuple[int, ...]
 
@@ -76,18 +78,6 @@ class WeightMultiset(_Frozen):
     @property
     def total(self) -> int:
         return sum(m for _, m in self.entries)
-
-    def _merge(self, other: "WeightMultiset", sign: int) -> "WeightMultiset":
-        d = self.as_dict()
-        for w, m in other.entries:
-            d[w] = d.get(w, 0) + sign * m
-        return WeightMultiset.from_dict(d)
-
-    def add(self, other: "WeightMultiset") -> "WeightMultiset":
-        return self._merge(other, 1)
-
-    def subtract(self, other: "WeightMultiset") -> "WeightMultiset":
-        return self._merge(other, -1)
 
 
 class DominantCharacter(_Frozen):
@@ -167,25 +157,19 @@ def _character(system: RootSystemData, dominant: dict[WeightVector, int]) -> Dom
     return DominantCharacter(entries, sum(m * _orbit_size(system, w) for w, m in entries))
 
 
-def _dominant_part(system: RootSystemData, ms: WeightMultiset) -> DominantCharacter:
-    """The dominant part of a Weyl-invariant multiset."""
-    return _character(system, {w: m for w, m in ms.entries if min(w) >= 0})
+def _matches(system: RootSystemData, ms: WeightMultiset, char: DominantCharacter) -> bool:
+    """Whether ``ms`` is the whole multiset ``char`` keeps at its dominant
+    weights: each weight of ``ms`` has the multiplicity ``char`` gives its
+    dominant weight, so ``ms`` lies inside it, and the totals agree, so
+    nothing of it is missing."""
+    rows, reps, mult = system.cartan_rows, {}, dict(char.entries)
+    return ms.total == char.total and all(mult.get(_dominant_labels(rows, w, reps), 0) == m for w, m in ms.entries)
 
 
-def _expand(system: RootSystemData, entries) -> WeightMultiset:
-    """The whole multiset of a dominant part: each multiplicity is written
-    to the Weyl orbit of its weight."""
-    rows, lower = system.cartan_rows, system.lower_neighbours
-    mult: dict[WeightVector, int] = {}
-    for mu, m in entries:
-        mult.update(dict.fromkeys(_orbit_labels(rows, lower, mu), m))
-    # The weights are distinct, so sorting them alone orders the pairs.
-    return WeightMultiset(tuple([(w, mult[w]) for w in sorted(mult)]))
-
-
-def _dominant_freudenthal(system: RootSystemData, lam: WeightVector) -> dict[WeightVector, int]:
-    """Multiplicity of each dominant weight of the irreducible module with
-    highest weight lam.
+@lru_cache(maxsize=CACHE_MAXSIZE)
+def freudenthal(system: RootSystemData, lam: WeightVector) -> DominantCharacter:
+    """The dominant character of the irreducible module with highest weight
+    lam: the multiplicity of each of its dominant weights.
 
     Freudenthal's formula holds for every semisimple Lie algebra, so a
     decomposable Cartan matrix such as E3 = A2 x A1 needs no split into
@@ -250,14 +234,7 @@ def _dominant_freudenthal(system: RootSystemData, lam: WeightVector) -> dict[Wei
         if rem or value <= 0:
             raise AssertionError("recursion produced a non-positive multiplicity")
         mult[mu] = value
-    return mult
-
-
-@lru_cache(maxsize=CACHE_MAXSIZE)
-def freudenthal(system: RootSystemData, lam: WeightVector) -> WeightMultiset:
-    """Full weight multiset of the irreducible module with highest weight
-    lam: the dominant multiplicities, each written to its Weyl orbit."""
-    return _expand(system, _dominant_freudenthal(system, lam).items())
+    return _character(system, mult)
 
 
 def is_weyl_invariant(system: RootSystemData, ms: WeightMultiset) -> bool:
@@ -321,10 +298,6 @@ def sym2_multiset(ms: WeightMultiset) -> WeightMultiset:
     return result
 
 
-def _zero_multiset(system: RootSystemData, mult: int) -> WeightMultiset:
-    return WeightMultiset.from_dict({(0,) * system.rank: mult})
-
-
 def expected_w_character(system: RootSystemData) -> tuple[DominantCharacter | None, str]:
     """The predicted complement W of the top module inside sym2(lines), at
     its dominant weights.  On E with n <= 7 it is read off the enumerated
@@ -337,15 +310,16 @@ def expected_w_character(system: RootSystemData) -> tuple[DominantCharacter | No
     if fam.kind == "D":
         return _character(system, {zero: 1}), "one zero weight"
     if fam.n == 8:
-        top = _dominant_freudenthal(system, weight_of(system, ruling_highest_class(system.lattice)))
+        top = dict(freudenthal(system, weight_of(system, ruling_highest_class(system.lattice))).entries)
         top[zero] = top.get(zero, 0) + 1
         return _character(system, top), "3875-module plus one zero weight"
     rulings, description = ruling_weight_multiset(system), "ruling weights"
+    top = {w: m for w, m in rulings.entries if min(w) >= 0}
     if fam.n == 7:
-        rulings, description = rulings.add(_zero_multiset(system, 7)), "ruling weights plus zero^7"
+        top[zero], description = top.get(zero, 0) + 7, "ruling weights plus zero^7"
     if not is_weyl_invariant(system, rulings):
         return None, description
-    return _dominant_part(system, rulings), description
+    return _character(system, top), description
 
 
 def decompose_sym2(system: RootSystemData):
@@ -366,7 +340,8 @@ def decompose_sym2(system: RootSystemData):
         raise AssertionError("line weights are not Weyl invariant")
     m = lines_ms.as_dict()
     lam = tuple(2 * x for x in weight_of(system, line_highest_class(system.lattice)))
-    v_dom = _dominant_freudenthal(system, lam)
+    v_part = freudenthal(system, lam)
+    v_dom = dict(v_part.entries)
     sym2: dict[WeightVector, int] = {}
     for tau in v_dom:
         acc = sum(k * m.get(tuple(map(sub, tau, w)), 0) for w, k in lines_ms.entries)
@@ -377,7 +352,6 @@ def decompose_sym2(system: RootSystemData):
     t = lines_ms.total
     if sym2_total != t * (t + 1) // 2:
         raise AssertionError(f"sym2 total {sym2_total} != {t * (t + 1) // 2}")
-    v_part = _character(system, v_dom)
     w_part = _character(system, {tau: s - v_dom[tau] for tau, s in sym2.items()})
     expected, description = expected_w_character(system)
     report = {
@@ -407,7 +381,7 @@ def verify_weight_lemma(system: RootSystemData) -> dict:
     report: dict = {
         "family": system.lattice.family.label,
         "line_module_total": pi_line.total,
-        "line_module_matches": pi_line == lines_ms,
+        "line_module_matches": _matches(system, lines_ms, pi_line),
     }
     ok = report["line_module_matches"]
     fam = system.lattice.family
@@ -417,12 +391,12 @@ def verify_weight_lemma(system: RootSystemData) -> dict:
         report["ruling_module_total"] = pi_r.total
         report["ruling_count"] = rulings.total
         if fam.n <= 7:
-            good = _dominant_part(system, pi_r) == expected_w_character(system)[0]
+            good = pi_r == expected_w_character(system)[0]
             report["ruling_relation"] = "equal" if fam.n <= 6 else "equal plus zero^7"
         else:
-            d = pi_r.as_dict()
+            rows, reps, mult = system.cartan_rows, {}, dict(pi_r.entries)
             good = (
-                all(d.get(w, 0) == 1 for w, _ in rulings.entries)
+                all(mult.get(_dominant_labels(rows, w, reps), 0) == 1 for w, _ in rulings.entries)
                 and pi_r.total > rulings.total
             )
             report["ruling_relation"] = "strict containment, rulings simple"

@@ -119,12 +119,34 @@ MUTANTS = (
         "    return dims\n",
         ("tests/test_acceptance.py::test_acceptance[C4]",),
     ),
+    # E7's complement is the rulings plus seven zero weights, added to their
+    # dominant part; six leave both the sym2 complement and the ruling module
+    # one short.
     Mutant(
         "ruling-module-zero-count",
         "weights.py",
-        "_zero_multiset(system, 7))",
-        "_zero_multiset(system, 6))",
+        "top.get(zero, 0) + 7",
+        "top.get(zero, 0) + 6",
         ("tests/test_acceptance.py::test_acceptance[C2]", "tests/test_acceptance.py::test_acceptance[C3]"),
+    ),
+    # Without the totals a multiset that lies inside a character matches it:
+    # the E8 line weights without their zero^8 still read the adjoint
+    # module's multiplicity at every weight.
+    Mutant(
+        "weight-match-skips-the-total",
+        "weights.py",
+        "ms.total == char.total and ",
+        "",
+        ("tests/test_weights.py::test_e8_line_weights_without_their_zero_weights_match_only_in_weight",),
+    ),
+    # Without the reading per weight only the totals are compared: one unit
+    # moved from the zero weight to a root weight keeps the total.
+    Mutant(
+        "weight-match-skips-the-weights",
+        "weights.py",
+        " and all(mult.get(_dominant_labels(rows, w, reps), 0) == m for w, m in ms.entries)",
+        "",
+        ("tests/test_weights.py::test_e8_line_weights_with_one_zero_moved_match_only_in_total",),
     ),
     # The square of a weight is paired with itself once: without the
     # m(tau / 2) term every sym2 value at tau = 2 mu is short, and so is the

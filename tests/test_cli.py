@@ -557,8 +557,10 @@ def test_one_failed_certificate_fails_quadrics_and_selftest(
 
 def _one_more_zero_weight(line_weight_multiset):
     def spoilt(system):
-        zero = weights_module.WeightMultiset.from_dict({(0,) * system.rank: 1})
-        return line_weight_multiset(system).add(zero)
+        mult = line_weight_multiset(system).as_dict()
+        zero = (0,) * system.rank
+        mult[zero] = mult.get(zero, 0) + 1
+        return weights_module.WeightMultiset.from_dict(mult)
 
     return spoilt
 

@@ -1,8 +1,10 @@
 """Weights, multiplicities and the symmetric square decomposition."""
 
+import json
 import pickle
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -33,10 +35,11 @@ from adecox import (
     weyl_dim,
 )
 from adecox import weights as weights_module
+from adecox.cli import main
 from adecox.curves import _enumerate_kind
 from adecox.lattice import CACHE_MAXSIZE, pair
 from adecox.roots import _dominant_labels, _orbit_labels, _positive_root_coeffs, weyl_orbit
-from adecox.weights import _dominant_freudenthal, _expand, _orbit_size, expected_w_character
+from adecox.weights import _matches, _orbit_size, expected_w_character
 from dense_linalg import invert
 
 
@@ -47,18 +50,13 @@ def _system(kind, n):
 def test_weight_multiset_basics():
     ms = WeightMultiset.from_dict({(1, 0): 2, (0, 1): 1})
     assert ms.total == 3
-    combined = ms.add(WeightMultiset.from_dict({(1, 0): 1}))
-    assert combined.as_dict() == {(1, 0): 3, (0, 1): 1}
-    back = combined.subtract(ms)
-    assert back.as_dict() == {(1, 0): 1}
+    assert ms.as_dict() == {(1, 0): 2, (0, 1): 1}
+    assert WeightMultiset.from_dict({(0,): 0}) == WeightMultiset(())
 
 
 def test_weight_multiset_rejects_negative_multiplicity():
     with pytest.raises(ValueError):
         WeightMultiset.from_dict({(0,): -1})
-    good = WeightMultiset.from_dict({(0,): 1})
-    with pytest.raises(ValueError):
-        good.subtract(WeightMultiset.from_dict({(0,): 2}))
 
 
 def test_weight_of_line_and_ruling_seeds_e6():
@@ -123,7 +121,7 @@ def test_freudenthal_a2_doubled_fundamental():
     system = _system("A", 2)
     ms = freudenthal(system, (2, 0))
     assert ms.total == 6
-    assert all(m == 1 for m in ms.as_dict().values())
+    assert all(m == 1 for _, m in ms.entries)
 
 
 def test_freudenthal_adjoint_multiplicities():
@@ -131,12 +129,12 @@ def test_freudenthal_adjoint_multiplicities():
     system = _system("A", 2)
     adj = freudenthal(system, (1, 1))
     assert adj.total == 8
-    assert adj.as_dict()[(0, 0)] == 2
+    assert dict(adj.entries)[(0, 0)] == 2
 
     d4 = _system("D", 4)
     adj4 = freudenthal(d4, (0, 0, 1, 0))
     assert adj4.total == 28
-    assert adj4.as_dict()[(0, 0, 0, 0)] == 4
+    assert dict(adj4.entries)[(0, 0, 0, 0)] == 4
 
 
 def test_freudenthal_d4_vector_square():
@@ -236,6 +234,45 @@ def test_verify_weight_lemma_reports():
         assert report["ok"] and report["ruling_relation"] == "equal"
 
 
+def _e8_lines_with(change):
+    """The E8 line multiset with ``change`` applied to its multiplicities."""
+    system = _system("E", 8)
+    mult = line_weight_multiset(system).as_dict()
+    change(mult)
+    return system, WeightMultiset.from_dict(mult)
+
+
+def test_e8_line_weights_without_their_zero_weights_match_only_in_weight(capsys, monkeypatch):
+    # Each of the 240 root weights has multiplicity 1, as the adjoint module
+    # gives it; only the total, 240 against 248, tells them apart, in the
+    # lemma and in the CLI's exit code.
+    system, spoilt = _e8_lines_with(lambda mult: mult.pop((0,) * 8))
+    module = freudenthal(system, weight_of(system, line_highest_class(system.lattice)))
+    assert spoilt.total == 240 and not _matches(system, spoilt, module)
+    monkeypatch.setattr(weights_module, "line_weight_multiset", lambda _system: spoilt)
+    report = verify_weight_lemma(system)
+    assert report["line_module_matches"] is False and report["ok"] is False
+    assert main(["verify", "--which", "weights", "--family", "E", "--n", "8"]) == 1
+    entries = json.loads(capsys.readouterr().out)["results"]
+    assert [entry["line_module_matches"] for entry in entries] == [False]
+
+
+def test_e8_line_weights_with_one_zero_moved_match_only_in_total(monkeypatch):
+    # One unit moved from the zero weight to a root weight that is not
+    # dominant keeps the total at 248; only the reading per weight (2 at
+    # that root weight and 7 at zero, against 1 and 8) tells them apart.
+    def move(mult):
+        mult[(0,) * 8] -= 1
+        mult[next(w for w in sorted(mult) if min(w) < 0)] += 1
+
+    system, spoilt = _e8_lines_with(move)
+    module = freudenthal(system, weight_of(system, line_highest_class(system.lattice)))
+    assert spoilt.total == module.total == 248 and not _matches(system, spoilt, module)
+    monkeypatch.setattr(weights_module, "line_weight_multiset", lambda _system: spoilt)
+    report = verify_weight_lemma(system)
+    assert report["line_module_matches"] is False and report["ok"] is False
+
+
 @pytest.mark.parametrize(
     "kind,n,description,total",
     [("A", n, "empty", 0) for n in range(1, 6)]
@@ -249,12 +286,12 @@ def test_expected_w_multiset_descriptions_and_totals(kind, n, description, total
     assert (said, expected.total) == (description, total)
     full = _full_expected_w(system)
     assert is_weyl_invariant(system, full)
-    assert _expand(system, expected.entries) == full
+    assert _ref_expand(system, expected) == full
 
 
 def _full_expected_w(system):
     """The predicted complement as a whole multiset: from the enumerated
-    rulings, or from the full recursion on (E, 8)."""
+    rulings, or from the recursion written out over its orbits on (E, 8)."""
     fam = system.lattice.family
 
     def zeros(k):
@@ -265,9 +302,24 @@ def _full_expected_w(system):
     if fam.kind == "D":
         return zeros(1)
     if fam.n == 8:
-        return freudenthal(system, weight_of(system, ruling_highest_class(system.lattice))).add(zeros(1))
+        module = freudenthal(system, weight_of(system, ruling_highest_class(system.lattice)))
+        return _sum(_ref_expand(system, module), zeros(1))
     rulings = ruling_weight_multiset(system)
-    return rulings if fam.n <= 6 else rulings.add(zeros(7))
+    return rulings if fam.n <= 6 else _sum(rulings, zeros(7))
+
+
+def _sum(*parts):
+    total = Counter()
+    for ms in parts:
+        total.update(ms.as_dict())
+    return WeightMultiset.from_dict(total)
+
+
+def _ref_expand(system, char):
+    """The whole multiset of a dominant character: each multiplicity written
+    over the breadth-first orbit of its weight, not the package's walker."""
+    cartan = _cartan(system)
+    return WeightMultiset.from_dict({w: m for mu, m in char.entries for w in _ref_orbit_labels(cartan, mu)})
 
 
 def test_decompose_sym2_refuses_line_weights_that_are_not_weyl_invariant(monkeypatch):
@@ -303,7 +355,7 @@ def test_weyl_dim_and_freudenthal_refuse_the_same_weights(fn):
 
 def test_is_weyl_invariant():
     system = _system("A", 2)
-    invariant = freudenthal(system, (1, 1))
+    invariant = _ref_expand(system, freudenthal(system, (1, 1)))
     assert is_weyl_invariant(system, invariant)
     lopsided = WeightMultiset.from_dict({(1, 1): 1})
     assert not is_weyl_invariant(system, lopsided)
@@ -569,7 +621,8 @@ def test_weight_kernel_matches_fraction_reference(kind, n):
         lams += list(product(range(4), repeat=system.rank))
     for lam in lams:
         assert weyl_dim(system, lam) == _ref_weyl_dim(system, lam), lam
-        assert freudenthal(system, lam) == _ref_freudenthal(system, lam), lam
+        module, ref = freudenthal(system, lam), _ref_freudenthal(system, lam)
+        assert (_ref_expand(system, module), module.total) == (ref, ref.total), lam
 
 
 @pytest.mark.parametrize("kind,n", ORACLE_SYSTEMS)
@@ -577,7 +630,7 @@ def test_orbit_size_formula_matches_the_orbit_walk(kind, n):
     # Every dominant weight below twice the line weight.
     system = _system(kind, n)
     lam = weight_of(system, line_highest_class(system.lattice))
-    for mu in _dominant_freudenthal(system, tuple(2 * x for x in lam)):
+    for mu, _ in freudenthal(system, tuple(2 * x for x in lam)).entries:
         assert _orbit_size(system, mu) == len(_orbit_labels(system.cartan_rows, system.lower_neighbours, mu)), mu
 
 
@@ -592,7 +645,7 @@ def test_orbit_walk_reaches_each_weight_once(kind, n):
     cartan = _cartan(system)
     lat = system.lattice
     line = weight_of(system, line_highest_class(lat))
-    starts = [line, *_dominant_freudenthal(system, tuple(2 * x for x in line))]
+    starts = [line, *(mu for mu, _ in freudenthal(system, tuple(2 * x for x in line)).entries)]
     if kind == "E":
         starts.append(weight_of(system, ruling_highest_class(lat)))
     for mu in starts:
@@ -646,11 +699,11 @@ def test_dominant_walk_matches_the_rescanning_reference(kind, n):
 def test_dominant_sym2_character_expands_to_the_full_square(kind, n):
     system = _system(kind, n)
     v_part, w_part, report = decompose_sym2(system)
-    v_full, w_full = _expand(system, v_part.entries), _expand(system, w_part.entries)
+    v_full, w_full = _ref_expand(system, v_part), _ref_expand(system, w_part)
     assert (v_full.total, w_full.total) == (v_part.total, w_part.total) == (report["v_total"], report["w_total"])
-    assert v_full.add(w_full) == sym2_multiset(line_weight_multiset(system))
+    assert _sum(v_full, w_full) == sym2_multiset(line_weight_multiset(system))
     lam = weight_of(system, line_highest_class(system.lattice))
-    assert v_full == freudenthal(system, tuple(2 * x for x in lam))
+    assert v_part == freudenthal(system, tuple(2 * x for x in lam))
 
 
 def test_weight_of_rejects_wrong_coordinate_length():
@@ -707,10 +760,11 @@ def _small_dominant(draw):
 @given(_small_dominant())
 def test_freudenthal_properties(case):
     system, lam = case
-    ms = freudenthal(system, lam)
-    assert ms.total == weyl_dim(system, lam)
-    assert is_weyl_invariant(system, ms)
-    assert ms.as_dict()[lam] == 1
+    char = freudenthal(system, lam)
+    full = _ref_expand(system, char)
+    assert char.total == full.total == weyl_dim(system, lam)
+    assert is_weyl_invariant(system, full)
+    assert dict(char.entries)[lam] == 1
 
 
 @pytest.mark.parametrize("kind,n", [("E", 8), ("D", 6), ("A", 5)])
@@ -727,10 +781,11 @@ def test_weight_routines_read_the_closure_the_root_system_holds(monkeypatch, kin
         freudenthal.cache_clear()
         module = freudenthal(system, lam)
         orbit = weyl_orbit(system, line_highest_class(lat))
-        return module, weyl_dim(system, doubled), is_weyl_invariant(system, module), orbit
+        lines = line_weight_multiset(system)
+        return module, weyl_dim(system, doubled), is_weyl_invariant(system, lines), _matches(system, lines, module), orbit
 
     before = answers()
-    assert before[2]
+    assert before[2] and before[3]
 
     def boom(_cartan):
         raise RuntimeError("the positive-root closure was run again")
