@@ -38,11 +38,12 @@ from .selftest import SURFACE_CHECKS, quadrics_entries, run_selftest
 
 
 # Largest n each command accepts; only A and D reach it, since E stops at 8.
-# Each is the largest round n whose costliest run stays near 3 s cold and
-# under 250 MB peak RSS (Python 3.11.7, 2 vCPU Intel Xeon): enumerate
-# --what roots on D100 takes 2.3 s at 236 MB (D150: 7.1 s at 743 MB),
-# verify --which sym2 on D100 2.8 s at 122 MB (D120: 4.7 s at 196 MB), and
-# quadrics on D160 2.9 s at 159 MB (D200: 6.1 s at 275 MB).
+# Each was set as the largest round n whose costliest run stayed near 3 s
+# cold and under 250 MB peak RSS (Python 3.11.7, 2 vCPU Intel Xeon):
+# enumerate --what roots on D100 takes 2.3 s at 236 MB (D150: 7.1 s at
+# 743 MB), and quadrics on D160 2.9 s at 159 MB (D200: 6.1 s at 275 MB).
+# The costliest verify, --which sym2 on D100, now takes 0.8-0.9 s at 80 MB
+# (D120: 1.5 s at 128 MB); its limit stays at 100.
 N_LIMITS = {"enumerate": 100, "verify": 100, "quadrics": 160}
 
 

@@ -27,10 +27,13 @@ named A3.  So the small cases come out under their isomorphic names:
 
 A root system is keyed by its lattice alone: `RootSystemData(lattice)` is
 the one place that derives Weyl data.  It reads the Cartan matrix off the
-simple-root covectors, runs the positive-root closure once and keeps each
-root's coefficients and labels beside the sparse Cartan rows, the one
-Cartan matrix it keeps, so the weight routines in `weights` only read
-them; `build_root_system` caches it.
+simple-root covectors, runs the positive-root closure once and keeps one
+record per positive root, its coefficients, labels and sparse support,
+beside the sparse Cartan rows, the one Cartan matrix it keeps, so the
+weight routines in `weights` only read them; `build_root_system` caches
+it.  No root is written out as a class: the Weyl dimension formula,
+Freudenthal's recursion, the orbit sizes and the Dynkin type all read the
+coefficients and labels.
 Each orbit meets the dominant chamber in exactly one weight (Humphreys,
 Reflection Groups and Coxeter Groups, 1.12), and `_dominant_labels` walks a
 weight up to it.  Every Weyl orbit is written out by `_orbit_labels`, a
@@ -63,24 +66,23 @@ from .lattice import (
 
 class RootSystemData(_Frozen):
     # The lattice is the whole key; the rest is derived from it and takes no
-    # part in equality, hash or repr.  ``closure`` holds the ``(coefficients,
-    # labels)`` pair of each positive root from `_positive_root_coeffs`,
-    # aligned with ``positive_roots``: its coefficients over the simple roots
-    # and its Cartan pairing; ``root_supports`` holds each root's
-    # coefficients as sparse ``(index, coefficient)`` pairs, in the same
-    # order.  ``cartan_rows`` holds the Cartan rows as sparse ``(index,
-    # entry)`` pairs, and ``orbit_moves`` extends row ``i`` past the labels
-    # by the entries of ``alpha_i``, the move ``s_i`` makes on the states
-    # ``labels + coords`` that `weyl_orbit` walks; ``lower_neighbours[i]``
-    # holds the neighbours ``j < i`` of node ``i``, which the reverse search
-    # of `_orbit_labels` reads.  ``simple_covectors``
-    # holds ``covector(lattice, alpha_i)`` for each simple root, so pairing a
-    # class with ``alpha_i`` is a sparse dot product.  The hash is taken
-    # once: lru caches key on root systems.
+    # part in equality, hash or repr.  ``positive_roots`` holds one
+    # ``(coefficients, labels, support)`` triple per positive root, in the
+    # order of `_positive_root_coeffs`: its coefficients over the simple
+    # roots, its Cartan pairing, and its coefficients as sparse ``(index,
+    # coefficient)`` pairs.  ``cartan_rows`` holds the Cartan rows as sparse
+    # ``(index, entry)`` pairs, and ``orbit_moves`` extends row ``i`` past
+    # the labels by the entries of ``alpha_i``, the move ``s_i`` makes on
+    # the states ``labels + coords`` that `weyl_orbit` walks;
+    # ``lower_neighbours[i]`` holds the neighbours ``j < i`` of node ``i``,
+    # which the reverse search of `_orbit_labels` reads.
+    # ``simple_covectors`` holds ``covector(lattice, alpha_i)`` for each
+    # simple root, so pairing a class with ``alpha_i`` is a sparse dot
+    # product.  The hash is taken once: lru caches key on root systems.
     _fields = ("lattice",)
     __slots__ = _fields + (
-        "simple_roots", "positive_roots", "closure", "root_supports", "cartan_rows", "orbit_moves",
-        "lower_neighbours", "simple_covectors", "_hash",
+        "simple_roots", "positive_roots", "cartan_rows", "orbit_moves", "lower_neighbours", "simple_covectors",
+        "_hash",
     )
 
     def __init__(self, lattice: IntersectionLattice):
@@ -100,21 +102,11 @@ class RootSystemData(_Frozen):
                 if not (x == 2 if i == j else x in (0, -1)):
                     raise AssertionError("pairing of simple roots is not simply laced")
         alpha_entries = [sparse_entries(a.coords) for a in alphas]
-        roots = []
-        for coeffs, labels in _positive_root_coeffs(cartan):
-            coords = [0] * lattice.rank
-            for c, entries in zip(coeffs, alpha_entries):
-                if c:
-                    for k, v in entries:
-                        coords[k] += c * v
-            roots.append((DivisorClass(tuple(coords)), (coeffs, labels)))
-        roots.sort()
-        closure = tuple(p for _, p in roots)
+        roots = tuple((c, labels, sparse_entries(c)) for c, labels in _positive_root_coeffs(cartan))
         rows = tuple(sparse_entries(row) for row in cartan)
         rank = len(alphas)
         moves = tuple(row + tuple((rank + k, v) for k, v in a) for row, a in zip(rows, alpha_entries))
-        self._set(simple_roots=alphas, positive_roots=tuple(r for r, _ in roots), closure=closure)
-        self._set(root_supports=tuple(sparse_entries(c) for c, _ in closure), simple_covectors=covectors)
+        self._set(simple_roots=alphas, positive_roots=roots, simple_covectors=covectors)
         lower = tuple(tuple(j for j, v in row if j < i) for i, row in enumerate(rows))
         self._set(cartan_rows=rows, orbit_moves=moves, lower_neighbours=lower, _hash=hash(self._values()))
 
@@ -183,7 +175,7 @@ def build_root_system(lattice: IntersectionLattice) -> RootSystemData:
 def classify_type(system: RootSystemData) -> str:
     """Dynkin type by the highest-root rule of the module docstring."""
     labels = []
-    for coeffs, pairing in system.closure:
+    for coeffs, pairing, _ in system.positive_roots:
         if -1 not in pairing:
             k = len(coeffs) - coeffs.count(0)
             height = sum(coeffs)

@@ -6,9 +6,9 @@ change the labels, so the map factors through the quotient by those two
 classes.  ``weight_of`` is a dot product with the simple-root covectors the
 root system stores; it lives in `roots`, with `roots._dominant_labels`,
 which walks a weight up to the dominant weight of its orbit.  The root
-system also holds the positive-root closure (each root's coefficients and
-labels), each root's sparse support and the sparse Cartan rows; the
-routines here read them and derive none of them.
+system also holds the positive roots, one ``(coefficients, labels,
+support)`` triple each, and the sparse Cartan rows; the routines here read
+them and derive none of them.
 
 The Weyl dimension formula and Freudenthal's recursion run on integers.  In
 a simply laced system, with roots of norm 2, a positive root
@@ -121,7 +121,7 @@ def weyl_dim(system: RootSystemData, lam: WeightVector) -> int:
     _check_dominant(system, lam)
     lam_rho = [l + 1 for l in lam]
     num = den = 1
-    for coeffs, _ in system.closure:
+    for coeffs, _, _ in system.positive_roots:
         num *= sum(c * m for c, m in zip(coeffs, lam_rho) if c)
         den *= sum(coeffs)
     dim, rem = divmod(num, den)
@@ -141,7 +141,7 @@ def _orbit_size(system: RootSystemData, mu: WeightVector) -> int:
     """
     support = [i for i, m in enumerate(mu) if m]
     num = den = 1
-    for coeffs, _ in system.closure:
+    for coeffs, _, _ in system.positive_roots:
         if any(coeffs[i] for i in support):
             height = sum(coeffs)
             num *= height + 1
@@ -199,7 +199,7 @@ def freudenthal(system: RootSystemData, lam: WeightVector) -> DominantCharacter:
         fresh = []
         for mu in frontier:
             d = dom_depth[mu]
-            for c, al in system.closure:
+            for c, al, _ in system.positive_roots:
                 if min(map(sub, mu, al)) >= 0:
                     nu = tuple(map(sub, mu, al))
                     if nu not in dom_depth:
@@ -207,7 +207,6 @@ def freudenthal(system: RootSystemData, lam: WeightVector) -> DominantCharacter:
                         fresh.append(nu)
         frontier = fresh
 
-    closure, supports = system.closure, system.root_supports
     rows, reps = system.cartan_rows, {}
     # lam, of depth 0, comes first: it has multiplicity 1.
     mult: dict[WeightVector, int] = {lam: 1}
@@ -215,7 +214,7 @@ def freudenthal(system: RootSystemData, lam: WeightVector) -> DominantCharacter:
         depth = dom_depth[mu]
         height = sum(depth)
         acc = 0
-        for (_, al), nz in zip(closure, supports):
+        for _, al, nz in system.positive_roots:
             # The largest k with k alpha <= lam - mu, which the height bounds.
             kmax = height
             for i, ci in nz:

@@ -1,13 +1,13 @@
 """Mutation runner: each committed mutant of the package must fail its tests.
 
-For each mutant it copies ``src`` and ``tests`` into a fresh temporary
-directory, replaces one exact piece of text in one package file, and runs
-the tests the mutant names against that copy under a timeout, one mutant at
-a time.  A mutant is killed when pytest finishes with failing tests (exit
-code 1) and survives when they pass; a timeout or any other exit code is
-an error.  The named tests first run once on an unmutated copy, which must
-pass, so a broken test cannot pass for a kill.  Stdlib only (pytest runs
-the tests)::
+For each mutant it copies ``src``, ``tests`` and ``README.md`` into a fresh
+temporary directory, replaces one exact piece of text in one package file,
+and runs the tests the mutant names against that copy under a timeout, one
+mutant at a time.  A mutant is killed when pytest finishes with failing
+tests (exit code 1) and survives when they pass; a timeout or any other
+exit code is an error.  The named tests first run once on an unmutated
+copy, which must pass, so a broken test cannot pass for a kill.  Stdlib
+only (pytest runs the tests)::
 
     python tests/mutants.py
 
@@ -311,6 +311,25 @@ MUTANTS = (
         "if 0 not in pairing:",
         ("tests/test_roots.py::test_classification[E-8-E8]",),
     ),
+    # A support that loses its first entry bounds the root strings and pairs
+    # the roots with the weights wrongly in Freudenthal's recursion.
+    Mutant(
+        "root-support-drops-its-first-entry",
+        "roots.py",
+        "(c, labels, sparse_entries(c))",
+        "(c, labels, sparse_entries(c)[1:])",
+        ("tests/test_weights.py::test_weight_kernel_matches_fraction_reference[E-8]",),
+    ),
+    # Without the exponent refusal a point such as 1e30000000 reaches the
+    # literal check and is refused with the wrong message.
+    Mutant(
+        "points-accept-exponent-notation",
+        "cli.py",
+        '    if any("e" in token or "E" in token for token in tokens):\n'
+        '        raise ValueError(f"cannot parse points {text!r}: exponent notation is not accepted")\n',
+        "",
+        ("tests/test_cli.py::test_points_in_exponent_notation_exit_2_at_once",),
+    ),
     # C1 compares the enumerated D roots with 2n(n - 1).
     Mutant(
         "d-root-count",
@@ -329,6 +348,8 @@ def _pytest(mutant: Mutant | None, tests) -> int | None:
         tree = Path(tmp)
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        # test_cli.py reads the README's examples while it is collected.
+        shutil.copy(ROOT / "README.md", tree / "README.md")
         if mutant is not None:
             target = tree / "src" / "adecox" / mutant.path
             target.write_text(target.read_text(encoding="utf-8").replace(mutant.old, mutant.new), encoding="utf-8")

@@ -115,11 +115,18 @@ POSITIVE_COUNTS = [
 def test_positive_root_counts(kind, n, count):
     lat = build_lattice(SurfaceFamily(kind, n))
     system = build_root_system(lat)
-    pos = system.positive_roots
-    assert len(pos) == count
-    # Positive and negative roots together exhaust the (-2, 0) classes.
-    all_roots = enumerate_roots(lat).as_set()
-    assert set(pos) | {-r for r in pos} == all_roots
+    assert len(system.positive_roots) == count
+    # Each root's class is written out here as sum c_i alpha_i over the
+    # simple roots; with their negatives they are exactly the (-2, 0)
+    # classes the enumerator finds.
+    pos = []
+    for coeffs, _, _ in system.positive_roots:
+        total = DivisorClass((0,) * lat.rank)
+        for c, a in zip(coeffs, system.simple_roots):
+            total = total + c * a
+        pos.append(total)
+    assert len(set(pos)) == count
+    assert set(pos) | {-r for r in pos} == enumerate_roots(lat).as_set()
 
 
 CARTAN_DETS = [

@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import adecox
+from adecox.lattice import _Frozen
 from mutants import MUTANTS
 
 PACKAGE = Path(__file__).parent.parent / "src" / "adecox"
@@ -81,6 +83,39 @@ def test_every_top_level_definition_is_used_or_exported():
         )
     ]
     assert unused == []
+
+
+def _frozen_subclasses():
+    """Every subclass of ``_Frozen`` the package's modules define; a test's
+    own subclass is left out."""
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
+        importlib.import_module(f"adecox.{path.stem}")
+    found, todo = [], [_Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("adecox."):
+                found.append(sub)
+    return found
+
+
+def test_every_slot_of_a_value_class_is_read():
+    # A value class keeps only what the package reads: each slot name is
+    # loaded as an attribute somewhere in the package, so data that is
+    # derived, stored and never read does not stay behind.
+    read = {
+        node.attr
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{cls.__name__}.{name}"
+        for cls in _frozen_subclasses()
+        for name in cls.__dict__.get("__slots__", ())
+        if name != "__dict__" and name not in read
+    ]
+    assert unread == []
 
 
 def _loaded_by_import(*modules: str) -> list[str]:

@@ -65,8 +65,6 @@ class RootSystemData:
     lattice: object
     simple_roots: tuple = field(init=False, compare=False, repr=False)
     positive_roots: tuple = field(init=False, compare=False, repr=False)
-    closure: tuple = field(init=False, compare=False, repr=False)
-    root_supports: tuple = field(init=False, compare=False, repr=False)
     cartan_rows: tuple = field(init=False, compare=False, repr=False)
     orbit_moves: tuple = field(init=False, compare=False, repr=False)
     lower_neighbours: tuple = field(init=False, compare=False, repr=False)
@@ -177,7 +175,7 @@ def _surface_samples(kind, n):
     lines = A.enumerate_lines(lat)
     out = [family, lat, system, lines, A.line_weight_multiset(system), lat.K, lat.C]
     out += list(A.decompose_sym2(system)[:2])
-    out += list(lines.classes[:4]) + list(system.positive_roots[:4])
+    out += list(lines.classes[:4]) + list(A.enumerate_roots(lat).classes[:4])
     if kind == "D" and n >= 3:
         config = A.SurfaceConfigD(tuple(Fraction(i, 2) for i in range(n)))
         pres = A.dn_ideal(lat, config)
@@ -266,8 +264,7 @@ def test_copies_and_pickles_are_equal(cls):
 DERIVED = {
     A.IntersectionLattice: ("basis_labels", "gram_rows", "K", "C", "c_covector", "k_covector"),
     A.RootSystemData: (
-        "simple_roots", "positive_roots", "closure", "root_supports", "cartan_rows", "orbit_moves",
-        "lower_neighbours", "simple_covectors",
+        "simple_roots", "positive_roots", "cartan_rows", "orbit_moves", "lower_neighbours", "simple_covectors",
     ),
     A.CoxPresentation: ("generators", "_leads"),
 }

@@ -37,7 +37,7 @@ from adecox import (
 from adecox import weights as weights_module
 from adecox.cli import main
 from adecox.curves import _enumerate_kind
-from adecox.lattice import CACHE_MAXSIZE, pair
+from adecox.lattice import CACHE_MAXSIZE, pair, sparse_entries
 from adecox.roots import _dominant_labels, _orbit_labels, _positive_root_coeffs, weyl_orbit
 from adecox.weights import _matches, _orbit_size, expected_w_character
 from dense_linalg import invert
@@ -447,16 +447,17 @@ def _ref_positive_root_coeffs(cartan):
     return sorted(known)
 
 
+def _root_class(system, coeffs):
+    """The class ``sum c_i alpha_i`` over the simple roots."""
+    total = DivisorClass((0,) * system.lattice.rank)
+    for c, a in zip(coeffs, system.simple_roots):
+        if c:
+            total = total + c * a
+    return total
+
+
 def _ref_positive_roots(system):
-    lattice = system.lattice
-    roots = []
-    for coeffs in _ref_positive_root_coeffs(_cartan(system)):
-        total = DivisorClass((0,) * lattice.rank)
-        for c, a in zip(coeffs, system.simple_roots):
-            if c:
-                total = total + c * a
-        roots.append(total)
-    return tuple(sorted(roots))
+    return [_root_class(system, coeffs) for coeffs in _ref_positive_root_coeffs(_cartan(system))]
 
 
 def _ref_weight_of(system, d):
@@ -613,7 +614,17 @@ DECOMPOSABLE = (("E", 3), ("D", 2))
 @pytest.mark.parametrize("kind,n", ORACLE_SYSTEMS)
 def test_weight_kernel_matches_fraction_reference(kind, n):
     system = _system(kind, n)
-    assert system.positive_roots == _ref_positive_roots(system)
+    # Each root the system holds, written out as a class: its labels are the
+    # class's pairing and its support the nonzero coefficients, and the
+    # classes are the reference closure's, compared as a set.
+    held = set()
+    for coeffs, labels, support in system.positive_roots:
+        root = _root_class(system, coeffs)
+        assert labels == _ref_weight_of(system, root), coeffs
+        assert support == tuple((i, c) for i, c in enumerate(coeffs) if c), coeffs
+        held.add(root)
+    assert len(held) == len(system.positive_roots)
+    assert held == set(_ref_positive_roots(system))
     for line in enumerate_lines(system.lattice):
         assert weight_of(system, line) == _ref_weight_of(system, line)
     lams = _oracle_weights(system, random.Random(f"{kind}{n}"))
@@ -733,12 +744,7 @@ def test_positive_root_coeffs_carry_cartan_labels(kind, n):
     assert len(pos) == _positive_root_count(classify_type(system))
     for c, labels in pos:
         assert labels == tuple(sum(cartan[i][j] * c[i] for i in range(rank)) for j in range(rank))
-    assert sorted(system.closure) == list(pos)
-    for root, (coeffs, _) in zip(system.positive_roots, system.closure):
-        total = DivisorClass((0,) * system.lattice.rank)
-        for c, a in zip(coeffs, system.simple_roots):
-            total = total + c * a
-        assert total == root
+    assert system.positive_roots == tuple((c, labels, sparse_entries(c)) for c, labels in pos)
 
 
 SMALL_SYSTEMS = [("A", n) for n in range(1, 6)] + [("D", n) for n in range(2, 6)] + [("E", n) for n in range(3, 6)]
@@ -769,7 +775,7 @@ def test_freudenthal_properties(case):
 
 @pytest.mark.parametrize("kind,n", [("E", 8), ("D", 6), ("A", 5)])
 def test_weight_routines_read_the_closure_the_root_system_holds(monkeypatch, kind, n):
-    # A built root system carries its positive-root closure and sparse Cartan
+    # A built root system carries its positive roots and sparse Cartan
     # rows; with the closure function raising everywhere it is bound, every
     # weight routine still answers, with the same results.
     system = _system(kind, n)
@@ -799,4 +805,4 @@ def test_weight_routines_read_the_closure_the_root_system_holds(monkeypatch, kin
         monkeypatch.setattr(module, "_positive_root_coeffs", boom)
     assert answers() == before
     assert system.cartan_rows == tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in _cartan(system))
-    assert (clone.closure, clone.cartan_rows) == (system.closure, system.cartan_rows)
+    assert (clone.positive_roots, clone.cartan_rows) == (system.positive_roots, system.cartan_rows)
