@@ -16,13 +16,21 @@ Kinds and their defining equations (``.`` is the intersection pairing):
 * roots:   ``D.D = -2``, ``D.K = 0``,  ``D.C = 0``
 * lines:   ``D.D = -1``, ``D.K = -1``, ``D.C = 0``
 * rulings: ``D.D = 0``,  ``D.K = -2``, ``D.C = 0``
+
+Line pairs summing to a class are counted on integers, not tuples.  With
+``b`` the largest absolute coordinate of a class set and ``B = 4b + 1``, a
+coordinate vector ``x`` packs to ``sum x_k B^k``.  A pair can only sum to a
+target ``T`` with every ``|T_k| <= 2b``.  Inside that box each coordinate
+of ``T - l - l'`` lies in ``[-4b, 4b]``, and ``sum c_k B^k = 0`` with every
+``|c_k| < B`` forces ``c = 0``; so ``l' = T - l`` exactly when
+``pack(l') = pack(T) - pack(l)``: one integer subtraction and one set
+probe per line.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from math import isqrt
-from operator import sub
 
 from .lattice import CACHE_MAXSIZE, DivisorClass, IntersectionLattice, _Frozen
 
@@ -34,7 +42,7 @@ KINDS = {
 
 
 class ClassSet(_Frozen):
-    # ``coord_set`` is a cached_property, which needs an instance __dict__.
+    # ``packed`` is a cached_property, which needs an instance __dict__.
     _fields = ("lattice", "kind", "classes")
     __slots__ = _fields + ("__dict__",)
 
@@ -48,9 +56,27 @@ class ClassSet(_Frozen):
         return frozenset(self.classes)
 
     @cached_property
-    def coord_set(self) -> frozenset[tuple[int, ...]]:
-        """The coordinate tuples of the classes, built on first use."""
-        return frozenset(c.coords for c in self.classes)
+    def packed(self) -> tuple[int, int, frozenset[int]]:
+        """``(b, B, keys)`` of the classes, built on first use.
+
+        ``b`` is the largest absolute coordinate, ``B = 4b + 1``, and
+        ``keys`` holds each class packed as ``sum x_k B^k``.  Distinct
+        classes pack to distinct keys, since ``B > 2b``.
+        """
+        coords = {c.coords for c in self.classes}
+        if any(len(x) != self.lattice.rank for x in coords):
+            raise ValueError("coordinate length does not match the lattice rank")
+        b = max((max(map(abs, x)) for x in coords), default=0)
+        base = 4 * b + 1
+        return b, base, frozenset(_pack(x, base) for x in coords)
+
+
+def _pack(x, base: int) -> int:
+    """``sum x_k base^k``, by Horner's rule from the last coordinate."""
+    total = 0
+    for a in reversed(x):
+        total = total * base + a
+    return total
 
 
 def _two_square_pairs(s: int, q: int) -> list[tuple[int, int]]:
@@ -177,16 +203,25 @@ def pairs_of_lines_summing_to(
 ) -> int:
     """Number of unordered line pairs {l, l'} with l + l' = target.
 
-    A line counts with itself only when 2l = target.
+    A line counts with itself only when 2l = target.  ``lines`` may be any
+    set of classes of ``lattice``; each distinct class counts once.  The
+    count runs on the packed integers of ``lines.packed``.
     """
-    coord_set = lines.coord_set
-    doubles = halves = 0
-    for line in coord_set:
-        rest = tuple(map(sub, target.coords, line))
-        if rest == line:
-            doubles += 1
-        elif rest in coord_set:
-            halves += 1
+    t = target.coords
+    if len(t) != lattice.rank:
+        raise ValueError("target length does not match the lattice rank")
+    if lines.lattice is not lattice and lines.lattice != lattice:
+        raise ValueError("lines belong to another lattice")
+    b, base, keys = lines.packed
+    if max(t) > 2 * b or min(t) < -2 * b:
+        return 0
+    whole = _pack(t, base)
+    # The differences from ``whole`` of distinct keys are distinct, so the
+    # intersection counts each line l with T - l among the lines once.
+    hits = len(keys.intersection(map(whole.__sub__, keys)))
+    # T - l = l only for l = T / 2, which the hits count once.
+    doubles = not any(a % 2 for a in t) and _pack([a // 2 for a in t], base) in keys
+    halves = hits - doubles
     if halves % 2:
         raise AssertionError("line pairs summing to the target are not symmetric")
     return halves // 2 + doubles

@@ -245,6 +245,32 @@ MUTANTS = (
         "divmod(gk[q] * rc - rk * gc[q], minor)",
         ("tests/test_curves.py::test_box_search_matches_full_box_and_enumerators",),
     ),
+    # The packed pair count.  In base 4b a target on the edge of the box
+    # packs like a line pair's sum; without the box test so does one just
+    # past it; without the doubles term a target 2l leaves the hits odd.
+    # (An offset on the packed digits would change nothing: equal packs mean
+    # T - l - l' = 0 for any offset as long as the base exceeds 4b.)
+    Mutant(
+        "pair-base-aliases-at-the-box-edge",
+        "curves.py",
+        "base = 4 * b + 1",
+        "base = 4 * b",
+        ("tests/test_curves.py::test_pairs_of_lines_matches_counting_every_pair[E-6]",),
+    ),
+    Mutant(
+        "pair-count-skips-the-box-test",
+        "curves.py",
+        "    if max(t) > 2 * b or min(t) < -2 * b:\n        return 0\n",
+        "",
+        ("tests/test_curves.py::test_pairs_of_lines_matches_counting_every_pair[D-5]",),
+    ),
+    Mutant(
+        "pair-count-drops-the-doubles",
+        "curves.py",
+        "doubles = not any(a % 2 for a in t) and _pack([a // 2 for a in t], base) in keys",
+        "doubles = 0",
+        ("tests/test_curves.py::test_pairs_of_lines_matches_counting_every_pair[D-5]",),
+    ),
     # _Frozen.__init__ already binds the fields; a value class does not
     # write out a constructor that only stores them.
     Mutant(

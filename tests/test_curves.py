@@ -1,5 +1,6 @@
 """Enumeration of roots, lines and rulings by exact lattice search."""
 
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -7,6 +8,8 @@ from itertools import product
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adecox import (
     ClassSet,
@@ -118,14 +121,105 @@ def test_pairs_of_lines_for_large_targets():
     assert pairs_of_lines_summing_to(lat8, target8, enumerate_lines(lat8)) == 120
 
 
-@pytest.mark.parametrize("kind,n", [("E", 6), ("E", 7), ("D", 5), ("A", 3)])
+def _pair_sums(lines):
+    """Each sum l + l' over unordered pairs of ``lines`` (l = l' too), counted."""
+    return Counter(a + b for i, a in enumerate(lines) for b in lines[i:])
+
+
+def _box_edge_targets(lattice, lines, sums):
+    """Targets on both sides of the ``|T_k| <= 2b`` box, b the lines' bound.
+
+    Each is a pair sum plus ``d e_k - e_(k+1)`` or its negative, for d = 4b
+    and 4b + 1, kept when its largest absolute coordinate is 2b or 2b + 1.
+    Packed in base d, such a target is the pair sum again: base 4b aliases
+    inside the box, and base 4b + 1 aliases only past it.
+    """
+    b = max(abs(a) for line in lines for a in line.coords)
+    rank = lattice.rank
+    found = set()
+    for d in (4 * b, 4 * b + 1):
+        for k in range(rank - 1):
+            step = [0] * rank
+            step[k], step[k + 1] = d, -1
+            for move in (DivisorClass(tuple(step)), -DivisorClass(tuple(step))):
+                for s in sums:
+                    t = s + move
+                    if max(map(abs, t.coords)) in (2 * b, 2 * b + 1):
+                        found.add(t)
+    assert {max(map(abs, t.coords)) for t in found} == {2 * b, 2 * b + 1}
+    return found
+
+
+@pytest.mark.parametrize("kind,n", [("E", 6), ("E", 7), ("E", 8), ("D", 5), ("A", 3)])
 def test_pairs_of_lines_matches_counting_every_pair(kind, n):
-    """Targets: every ruling, every line and every sum of two lines."""
+    """Targets: every ruling, every line, every sum of two lines (on E8 a
+    seeded sample, and C - K and 2(C - K)), each 2l, and the targets just
+    inside and just outside the ``±2b`` box built from those sums.  Each is
+    counted over every line and over a hand-built set of every other line."""
     lat = build_lattice(SurfaceFamily(kind, n))
     lines = enumerate_lines(lat).classes
-    sums = Counter(a + b for i, a in enumerate(lines) for b in lines[i:])
-    for target in set(sums) | set(lines) | enumerate_rulings(lat).as_set():
-        assert pairs_of_lines_summing_to(lat, target, enumerate_lines(lat)) == sums[target]
+    half = ClassSet(lat, "lines", lines[::2])
+    sums, half_sums = _pair_sums(lines), _pair_sums(half.classes)
+    if kind == "E" and n == 8:
+        shift = lat.C - lat.K
+        chosen = set(random.Random(32).sample(sorted(sums), 300)) | {line * 2 for line in lines}
+        targets = chosen | {shift, shift * 2}
+    else:
+        chosen = set(sums)
+        targets = chosen | set(lines)
+    targets |= enumerate_rulings(lat).as_set()
+    targets |= _box_edge_targets(lat, lines, chosen) | _box_edge_targets(lat, half.classes, chosen)
+    assert any(half_sums[t] == 0 < sums[t] for t in targets)
+    for target in targets:
+        assert pairs_of_lines_summing_to(lat, target, enumerate_lines(lat)) == sums[target], target
+        assert pairs_of_lines_summing_to(lat, target, half) == half_sums[target], target
+
+
+@st.composite
+def _small_targets(draw):
+    """A surface among D4 and E6 and a target near a pair sum, or anywhere
+    in a small box."""
+    kind, n = draw(st.sampled_from([("D", 4), ("E", 6)]))
+    lat = build_lattice(SurfaceFamily(kind, n))
+    lines = enumerate_lines(lat).classes
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+        nudge = draw(st.lists(st.integers(-1, 1), min_size=lat.rank, max_size=lat.rank))
+        target = lines[i] + lines[j] + DivisorClass(tuple(nudge))
+    else:
+        coords = draw(st.lists(st.integers(-5, 5), min_size=lat.rank, max_size=lat.rank))
+        target = DivisorClass(tuple(coords))
+    return lat, target
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_small_targets())
+def test_pairs_of_lines_matches_brute_force_on_small_targets(case):
+    lat, target = case
+    lines = enumerate_lines(lat)
+    assert pairs_of_lines_summing_to(lat, target, lines) == _pair_sums(lines.classes)[target]
+
+
+def test_pairs_of_lines_refuses_a_target_of_another_length():
+    lat = build_lattice(SurfaceFamily("E", 6))
+    lines = enumerate_lines(lat)
+    ruling = basis_class(lat, "h") - basis_class(lat, "l1")
+    with pytest.raises(ValueError, match="target length"):
+        pairs_of_lines_summing_to(lat, DivisorClass(ruling.coords + (0,)), lines)
+    with pytest.raises(ValueError, match="target length"):
+        pairs_of_lines_summing_to(lat, DivisorClass(ruling.coords[:-1]), lines)
+
+
+def test_pairs_of_lines_refuses_lines_of_another_lattice():
+    lat6 = build_lattice(SurfaceFamily("E", 6))
+    lat7 = build_lattice(SurfaceFamily("E", 7))
+    lines6 = enumerate_lines(lat6)
+    ruling7 = basis_class(lat7, "h") - basis_class(lat7, "l1")
+    with pytest.raises(ValueError, match="another lattice"):
+        pairs_of_lines_summing_to(lat7, ruling7, lines6)
+    # A hand-built set claiming lat7 for E6 classes is refused as it is packed.
+    with pytest.raises(ValueError, match="coordinate length"):
+        pairs_of_lines_summing_to(lat7, ruling7, ClassSet(lat7, "lines", lines6.classes))
 
 
 def test_pairs_count_zero_when_no_decomposition():
